@@ -1,9 +1,12 @@
 """Which primes are torsion primes?  Exact classification and census.
 
 For the reference family a prime p is a torsion prime exactly when
-2 + 3^m = 0 mod p has a solution.  Two residue classes mod 24 are
-provably free of solutions; everything else is settled by walking the
-full cycle of powers of 3.  The classical shortcut "3 a non-residue
+2 + 3^m = 0 mod p has a solution, that is when -2 is a power of 3 mod
+p.  Two residue classes mod 24 are provably free of solutions;
+everything else is settled by the order test (-2)^ord_p(3) = 1 mod p,
+and the least witness m is the discrete log of -2 to base 3.  Walking
+the full cycle of powers of 3 is kept as the oracle that checks both.
+The classical shortcut "3 a non-residue
 means 3 is a primitive root" would make classes 5, 7, 17, 19 always
 solvable, but it is unsound, and the census quantifies how far off it
 is.
@@ -24,7 +27,7 @@ for p in (11, 13, 17, 23, 29, 41, 103):
     print(f"  p = {p:4d} ({cls.mod24:2d} mod 24): {cls.verdict} via {cls.mechanism}{witness}")
 print()
 print("p = 41 and p = 103 sit in 'always torsion' classes 17 and 7 yet have no")
-print("witness: the exhaustive cycle walk refutes the primitive-root shortcut.")
+print("witness: (-2)^ord_p(3) != 1 mod p, so the primitive-root shortcut fails.")
 print()
 
 print("Census of all primes below 20000, by residue class mod 24:")

@@ -1,12 +1,22 @@
 """Primality, quadratic residues, and the torsion-prime arithmetic.
 
-Two classification routes are implemented and kept strictly separate:
+For the reference parameter family a prime p is a torsion prime iff
+2 + 3^m = 0 mod p for some m >= 2, that is iff -2 lies in the subgroup
+<3> of F_p*.  Three routes decide it, and they are kept strictly apart:
 
-* the residue route: p = 13 or 23 mod 24 is provably non-torsion for the
-  reference parameter family, because 3 is then a quadratic residue
-  while -2 is not, so -2 cannot be a power of 3;
-* the brute-force route: walk the powers of 3 (or the coefficient
-  recurrence for arbitrary parameters) modulo p until the cycle closes.
+* the residue rule (decides): p = 13 or 23 mod 24 is provably
+  non-torsion, because 3 is then a quadratic residue while -2 is not,
+  so -2 cannot be a power of 3;
+* the order test plus discrete log (decides, and finds the witness):
+  -2 lies in <3> iff (-2)^ord_p(3) = 1 mod p; when it does, the least
+  witness is the discrete log of -2 to base 3, found by Pohlig-Hellman
+  over the factored ord_p(3) with baby-step giant-step in each
+  prime-order step.  `census` and `classify_prime_theorem1` use it;
+* the power walk and the recurrence walk (the oracle): walk the powers
+  of 3 mod p until the cycle closes (`power_witness`), or the
+  coefficient recurrence for arbitrary parameters with cycle detection
+  (`divides_some_am`).  The verification sweeps compare the other
+  routes against these walks.
 
 The classical heuristic "3 a non-residue implies 3 is a primitive root",
 which would make the classes 5, 7, 17, 19 mod 24 always solvable, is
@@ -18,9 +28,12 @@ class 17).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .presentation import Params
 
@@ -85,6 +98,24 @@ def sieve_primes(bound: int) -> list[int]:
     return [i for i in range(bound) if flags[i]]
 
 
+def _smallest_prime_factors(bound: int, primes: list[int]) -> array:
+    """spf[n] = the least prime dividing n, for 2 <= n < bound, given the primes below bound."""
+    spf = array("I", range(bound))
+    # descending, so that each smaller prime overwrites the larger ones
+    for p in reversed(primes[: bisect_right(primes, isqrt(bound - 1))]):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, bound, p))
+    return spf
+
+
+def _factor_by_spf(n: int, spf: array) -> dict[int, int]:
+    out: dict[int, int] = {}
+    while n > 1:
+        q = spf[n]
+        out[q] = out.get(q, 0) + 1
+        n //= q
+    return out
+
+
 _SMALL_PRIMES = sieve_primes(10_000)
 
 
@@ -138,16 +169,64 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
+def _order_factorization(a: int, p: int, group: dict[int, int]) -> dict[int, int]:
+    """ord_p(a) as {prime: exponent}, given p - 1 factored as group."""
+    order = p - 1
+    out: dict[int, int] = {}
+    for q, k in group.items():
+        while k and pow(a, order // q, p) == 1:
+            order //= q
+            k -= 1
+        if k:
+            out[q] = k
+    return out
+
+
 def multiplicative_order(a: int, p: int) -> int:
     _require_prime(p)
     if a % p == 0:
         raise ValueError("a must be a unit mod p")
-    e = p - 1
-    for q in factorize(p - 1):
-        while e % q == 0 and pow(a, e // q, p) == 1:
-            e //= q
-    return e
+    return prod(q**k for q, k in _order_factorization(a % p, p, factorize(p - 1)).items())
 
+
+def _baby_step_giant_step(g: int, h: int, n: int, p: int) -> int:
+    """The x in [0, n) with g^x = h mod p, where g has order n."""
+    step = isqrt(n - 1) + 1
+    baby = {}
+    x = 1
+    for j in range(step):
+        baby.setdefault(x, j)
+        x = x * g % p
+    giant = pow(g, -step, p)
+    for i in range(step):
+        j = baby.get(h)
+        if j is not None:
+            return i * step + j
+        h = h * giant % p
+    raise ValueError("h is not a power of g")
+
+
+def _discrete_log(g: int, h: int, p: int, order: dict[int, int]) -> int:
+    """The x in [0, ord_p(g)) with g^x = h mod p, for h in <g>.
+
+    Pohlig-Hellman over the factored order: x is found digit by digit in
+    base q modulo each q^k, each digit by baby-step giant-step in the
+    subgroup of order q, and the residues are joined by the CRT.
+    """
+    n = prod(q**k for q, k in order.items())
+    x, modulus = 0, 1
+    for q, k in order.items():
+        qk = q**k
+        g_q = pow(g, n // qk, p)
+        h_q = pow(h, n // qk, p)
+        gamma = pow(g_q, qk // q, p)
+        x_q = 0
+        for i in range(k):
+            h_i = pow(pow(g_q, -x_q, p) * h_q % p, q ** (k - 1 - i), p)
+            x_q += _baby_step_giant_step(gamma, h_i, q, p) * q**i
+        x += modulus * ((x_q - x) * pow(modulus, -1, qk) % qk)
+        modulus *= qk
+    return x
 
 def is_primitive_root(g: int, p: int) -> bool:
     """Whether g generates the multiplicative group mod p."""
@@ -208,12 +287,19 @@ class PrimeClassification:
         }
 
 
+def _minus2_in_powers_of_3(p: int, group: dict[int, int]) -> tuple[bool, dict[int, int]]:
+    """Order test for p > 3: (-2 in <3> mod p, factored ord_p(3)), given p - 1 factored."""
+    order = _order_factorization(3, p, group)
+    return pow(p - 2, prod(q**k for q, k in order.items()), p) == 1, order
+
+
 def classify_prime_theorem1(p: int) -> PrimeClassification:
     """Torsion verdict for the reference family (a_m = 2 + 3^m).
 
     Primes 13 or 23 mod 24 are settled by the sound residue rule; every
-    other prime is settled by the brute-force power walk.  The claimed
-    positive rule for classes 5, 7, 17, 19 is never used to decide.
+    other prime by the order test, with the least witness taken from the
+    discrete log of -2 to base 3.  The claimed positive rule for classes
+    5, 7, 17, 19 is never used to decide.
     """
     _require_prime(p)
     if p in (2, 3):
@@ -224,10 +310,14 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
     base = dict(prime=p, mod24=mod24, mod12=p % 12, mod8=p % 8, legendre3=l3, legendre_minus2=lm2)
     if mod24 in (13, 23):
         return PrimeClassification(verdict="non-torsion", mechanism="residue-rule", witness=None, **base)
-    m = power_witness(p)
-    if m is None:
+    torsion, order = _minus2_in_powers_of_3(p, factorize(p - 1))
+    if not torsion:
+        # (-2)^ord_p(3) != 1 says what an exhausted cycle of powers of 3 says
         return PrimeClassification(verdict="non-torsion", mechanism="exhausted-cycle", witness=None, **base)
-    assert (2 + 3**m) % p == 0
+    m = _discrete_log(3, p - 2, p, order)
+    if m < 2:
+        m += prod(q**k for q, k in order.items())
+    assert (2 + pow(3, m, p)) % p == 0
     return PrimeClassification(verdict="torsion", mechanism="power-witness", witness=m, **base)
 
 
@@ -235,28 +325,32 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
 def divides_some_am(params: Params, q: int) -> int | None:
     """Least m >= 2 with a_m = 0 mod q, or None when the cycle closes first.
 
-    Iterates the coefficient recurrence modulo q.  The state space has at
-    most q^2 elements, so repetition (and hence termination) occurs
-    within q^2 + 1 iterations; a first-repeat check stops far earlier in
-    practice.
+    Iterates the state (a_m, b_m) mod q of the coefficient recurrence
+    under Brent's cycle detection, in O(1) memory.  The hare visits every
+    state in order, so the first zero it meets gives the least m.  When
+    it meets the tortoise, the states from there on repeat states it has
+    already visited, so no zero follows.
     """
     _require_prime(q, "q")
     a_, b_, c_, d_ = params.a % q, params.b % q, params.c % q, params.d % q
-    state = (params.a2 % q, params.b2 % q)
-    seen: set[tuple[int, int]] = set()
+    a, b = params.a2 % q, params.b2 % q
     m = 2
-    cap = q * q + 1
-    steps = 0
-    while state not in seen:
-        if state[0] == 0:
-            return m
-        seen.add(state)
-        state = ((a_ + b_ * state[0] + c_ * state[1]) % q, d_ * state[0] % q)
+    if a == 0:
+        return m
+    tortoise_a, tortoise_b = a, b
+    power = lam = 1
+    while True:
+        a, b = (a_ + b_ * a + c_ * b) % q, d_ * a % q
         m += 1
-        steps += 1
-        if steps > cap:
-            raise RuntimeError("cycle-detection bound exceeded")  # unreachable by pigeonhole
-    return None
+        if a == 0:
+            return m
+        if a == tortoise_a and b == tortoise_b:
+            return None
+        if power == lam:
+            tortoise_a, tortoise_b = a, b
+            power *= 2
+            lam = 0
+        lam += 1
 
 
 def classify_prime_general(params: Params, q: int) -> PrimeClassification:
@@ -273,11 +367,10 @@ def classify_prime_general(params: Params, q: int) -> PrimeClassification:
     m = divides_some_am(params, q)
     if m is None:
         return PrimeClassification(verdict="non-torsion", mechanism="exhausted-cycle", witness=None, **base)
-    seq_a = params.a2
-    seq_b = params.b2
+    seq_a, seq_b = params.a2 % q, params.b2 % q
     for _ in range(m - 2):
-        seq_a, seq_b = params.a + params.b * seq_a + params.c * seq_b, params.d * seq_a
-    assert seq_a % q == 0
+        seq_a, seq_b = (params.a + params.b * seq_a + params.c * seq_b) % q, params.d * seq_a % q
+    assert seq_a == 0
     return PrimeClassification(verdict="torsion", mechanism="divisor-witness", witness=m, **base)
 
 
@@ -301,13 +394,28 @@ class CensusRow:
         }
 
 
+def theorem1_verdicts(bound: int) -> Iterator[tuple[int, bool]]:
+    """(p, whether p is a torsion prime) for every prime 5 <= p < bound, reference family.
+
+    The same verdicts as `classify_prime_theorem1`, without the witness:
+    the residue rule for classes 13 and 23 mod 24, the order test for
+    the rest, with p - 1 factored by a sieve sized to bound.
+    """
+    primes = sieve_primes(bound)
+    spf = _smallest_prime_factors(bound, primes)
+    for p in primes:
+        if p < 5:
+            continue
+        yield p, p % 24 not in (13, 23) and _minus2_in_powers_of_3(p, _factor_by_spf(p - 1, spf))[0]
+
+
 def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> list[CensusRow]:
     """Classify every prime below bound and aggregate by residue mod 24.
 
-    mode "theorem1" uses the reference-family classifier and skips 2 and
-    3; mode "general" classifies every prime through the recurrence walk
-    for the given params.  Rows carry the residue-rule expectation where
-    one exists and list every prime whose verdict contradicts it.
+    mode "theorem1" takes the verdicts of `theorem1_verdicts` and skips 2
+    and 3; mode "general" classifies every prime through the recurrence
+    walk for the given params.  Rows carry the residue-rule expectation
+    where one exists and list every prime whose verdict contradicts it.
     """
     if bound < 25:
         raise ValueError("bound must be at least 25")
@@ -315,25 +423,24 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
         raise ValueError("general mode needs params")
     if mode not in ("theorem1", "general"):
         raise ValueError(f"unknown census mode {mode!r}")
+    if mode == "theorem1":
+        verdicts = theorem1_verdicts(bound)
+        expectations = RULE_EXPECTATION
+    else:
+        verdicts = ((p, classify_prime_general(params, p).verdict == "torsion") for p in sieve_primes(bound))
+        expectations = {}
     rows: dict[int, CensusRow] = {}
-    for p in sieve_primes(bound):
-        if mode == "theorem1":
-            if p in (2, 3):
-                continue
-            cls = classify_prime_theorem1(p)
-            expectation = RULE_EXPECTATION.get(p % 24)
-        else:
-            cls = classify_prime_general(params, p)
-            expectation = None
+    for p, torsion in verdicts:
+        expectation = expectations.get(p % 24)
         row = rows.get(p % 24)
         if row is None:
             row = rows[p % 24] = CensusRow(residue=p % 24, expectation=expectation)
         row.count += 1
-        if cls.verdict == "torsion":
+        if torsion:
             row.torsion += 1
         else:
             row.non_torsion += 1
-        if expectation is not None and cls.verdict != expectation:
+        if expectation is not None and torsion != (expectation == "torsion"):
             row.discrepancies.append(p)
     return [rows[r] for r in sorted(rows)]
 

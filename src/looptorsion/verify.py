@@ -190,7 +190,8 @@ def check_residue_rule_soundness(bound: int = 100_000, quiet: bool = True) -> di
 
 
 def check_recurrence_power_agreement(bound: int = 10_000, quiet: bool = True) -> dict:
-    """Recurrence walk and power walk agree prime by prime, witness by witness."""
+    """Recurrence walk, power walk and the order-test classifier agree
+    prime by prime, witness by witness."""
     _progress(f"  agreement sweep below {bound}", quiet)
     ok = True
     for q in numtheory.sieve_primes(bound):
@@ -199,7 +200,8 @@ def check_recurrence_power_agreement(bound: int = 10_000, quiet: bool = True) ->
             continue
         m_rec = numtheory.divides_some_am(THEOREM1_PARAMS, q)
         m_pow = numtheory.power_witness(q)
-        ok = ok and m_rec == m_pow
+        cls = numtheory.classify_prime_theorem1(q)
+        ok = ok and m_rec == m_pow == cls.witness and (cls.verdict == "torsion") == (m_pow is not None)
         if m_rec is not None:
             ok = ok and (2 + 3**m_rec) % q == 0
     return {"name": "recurrence-power-agreement", "ok": ok}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptorsion import numtheory as nt
 from looptorsion.presentation import Params, THEOREM1_PARAMS, coeff_sequence
@@ -140,6 +143,28 @@ def test_divides_some_am_matches_exhaustive_iteration():
         assert nt.divides_some_am(params, q) == expected
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        Params(2, 3, 0, 5, 1, 1),
+        Params(1, 4, 7, 0, 2, 3),
+        Params(5, 2, 3, 4, 0, 1),
+        Params(1, 1, 30, 42, 1, 1),
+        Params(1, 2, 3, 4, 5, 6),
+    ],
+    ids=["c=0", "d=0", "a2=0", "c,d=0 mod 2,3,5,7", "generic"],
+)
+def test_divides_some_am_matches_exact_sequence(params):
+    # oracle: the first m <= q^2 + 2 whose exact a_m is divisible by q;
+    # with c or d = 0 mod q the state map is not injective, so the walk
+    # can enter its cycle after a tail
+    bound = 60
+    rows = coeff_sequence(params, (bound - 1) ** 2 + 2)
+    for q in nt.sieve_primes(bound):
+        expected = next((m for m, am, _ in rows if m <= q * q + 2 and am % q == 0), None)
+        assert nt.divides_some_am(params, q) == expected, q
+
+
 def test_divides_some_am_agrees_with_power_walk():
     for q in nt.sieve_primes(2000):
         if q in (2, 3):
@@ -178,6 +203,32 @@ def test_census_small_bound():
     assert sum(r.count for r in rows) == 23  # 25 primes below 100, minus 2 and 3
     for r in rows:
         assert r.torsion + r.non_torsion == r.count
+
+
+def test_census_verdicts_match_power_walk_prime_by_prime():
+    bound = 20_000
+    walked = {p: nt.power_witness(p) is not None for p in nt.sieve_primes(bound) if p > 3}
+    assert dict(nt.theorem1_verdicts(bound)) == walked
+    for row in nt.census(bound, mode="theorem1"):
+        members = [p for p in walked if p % 24 == row.residue]
+        assert (row.count, row.torsion) == (len(members), sum(walked[p] for p in members))
+        if row.expectation is not None:
+            assert row.discrepancies == [p for p in members if walked[p] != (row.expectation == "torsion")]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(6, 10**7).map(sympy.prevprime))
+def test_classify_theorem1_witness_is_the_least_discrete_log(p):
+    cls = nt.classify_prime_theorem1(p)
+    order = int(sympy.n_order(3, p))
+    assert (cls.verdict == "torsion") == (pow(p - 2, order, p) == 1)
+    if cls.verdict == "torsion":
+        m = cls.witness
+        assert pow(3, m, p) == p - 2
+        least = int(sympy.discrete_log(p, p - 2, 3)) % order
+        assert m == (least if least >= 2 else least + order)
+    else:
+        assert cls.witness is None
 
 
 def test_census_rejects_tiny_bound():
