@@ -413,9 +413,11 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
     """Classify every prime below bound and aggregate by residue mod 24.
 
     mode "theorem1" takes the verdicts of `theorem1_verdicts` and skips 2
-    and 3; mode "general" classifies every prime through the recurrence
-    walk for the given params.  Rows carry the residue-rule expectation
-    where one exists and list every prime whose verdict contradicts it.
+    and 3; mode "general" decides every prime by the recurrence walk
+    `divides_some_am` for the given params, without the witness re-check
+    and Legendre symbols of `classify_prime_general`.  Rows carry the
+    residue-rule expectation where one exists and list every prime whose
+    verdict contradicts it.
     """
     if bound < 25:
         raise ValueError("bound must be at least 25")
@@ -427,7 +429,7 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
         verdicts = theorem1_verdicts(bound)
         expectations = RULE_EXPECTATION
     else:
-        verdicts = ((p, classify_prime_general(params, p).verdict == "torsion") for p in sieve_primes(bound))
+        verdicts = ((p, divides_some_am(params, p) is not None) for p in sieve_primes(bound))
         expectations = {}
     rows: dict[int, CensusRow] = {}
     for p, torsion in verdicts:

@@ -90,7 +90,7 @@ def smith_invariants(rels: RelationSet, n: int) -> tuple[list[int], int]:
     cached = _snf_cache.get(key)
     if cached is None:
         matrix = ideal_spanning_matrix(rels, n)
-        cached = _snf_cache[key] = snf.smith_normal_form(matrix.rows, matrix.ncols)
+        cached = _snf_cache[key] = snf.smith_normal_form(matrix.rows)
     return cached
 
 
@@ -116,7 +116,7 @@ def dimension(rels: RelationSet, n: int, field) -> int:
     rank = _modrank_cache.get(key)
     if rank is None:
         matrix = ideal_spanning_matrix(rels, n)
-        rank = _modrank_cache[key] = snf.rank_mod_p(matrix.rows, matrix.ncols, p)
+        rank = _modrank_cache[key] = snf.rank_mod_p(matrix.rows, p)
     return rels.num_gens**n - rank
 
 

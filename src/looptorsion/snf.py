@@ -13,9 +13,14 @@ operations or pivoting.  Expressing a vector in the final column basis
 this way is what turns Smith normal form into element orders in a
 quotient lattice.
 
+Rank over a prime field F_p comes from one sparse Gaussian elimination
+mod p (`rank_mod_p`) with plain Python integers, for every matrix size
+and every prime below 2^61.  It shares no code with the integer engine,
+so rank_p = #{invariant factors not divisible by p} is a real cross-check.
+
 A deliberately naive dense Smith normal form and a triangular-basis
 membership test are provided as independent second opinions; they share
-no code with the sparse engine.
+no code with the sparse engines.
 """
 
 from __future__ import annotations
@@ -23,12 +28,10 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-import numpy as np
-
 SparseRow = dict  # {column: coefficient}
 
-#: Primes at or above this bound are rejected by the modular rank
-#: routines; nothing at desk scale needs them.
+#: Primes at or above this bound are rejected by `rank_mod_p`; nothing
+#: at desk scale needs them.
 MAX_FIELD_PRIME = 1 << 61
 
 
@@ -226,11 +229,10 @@ def _divisibility_chain(values) -> list[int]:
     return [1] * ones + nontrivial
 
 
-def smith_normal_form(rows, ncols: int | None = None) -> tuple[list[int], int]:
+def smith_normal_form(rows) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | d_rank (all positive) and rank.
 
-    `rows` is an iterable of sparse rows; `ncols` is accepted for
-    interface symmetry but not needed by the elimination.
+    `rows` is an iterable of sparse rows.
     """
     diag, _ = _Eliminator(rows).run()
     invs = _divisibility_chain(v for _, v in diag)
@@ -268,55 +270,18 @@ def order_in_quotient(rows, vector: SparseRow):
 # ---------------------------------------------------------------------------
 
 
-def rank_mod_p(rows, ncols: int, p: int) -> int:
-    """Rank over F_p by Gaussian elimination.
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p by sparse Gaussian elimination.
 
-    Dense int64 arithmetic when p fits comfortably (p < 2^31, so products
-    stay inside int64); a sparse big-int path otherwise.  Primes at or
-    above 2^61 are rejected: they are beyond desk scale.
+    Each row is reduced mod p against the pivot rows kept so far, lowest
+    column first; a row left nonzero becomes the pivot row of its lowest
+    column, scaled to a leading 1.  The rank is the number of pivot rows.
+    Primes at or above 2^61 are rejected: they are beyond desk scale.
     """
     if p >= MAX_FIELD_PRIME:
         raise ValueError(f"field primes must be < 2^61, got {p}")
     if p < 2:
         raise ValueError("field characteristic must be a prime")
-    nrows = sum(1 for r in rows if r)
-    if p < (1 << 31) and nrows * ncols <= 120_000_000:
-        return _rank_dense_mod_p(rows, ncols, p)
-    return _rank_sparse_mod_p(rows, p)
-
-
-def _rank_dense_mod_p(rows, ncols: int, p: int) -> int:
-    rows = [r for r in rows if r]
-    nrows = len(rows)
-    if not nrows:
-        return 0
-    A = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            A[i, c] = v % p
-    if ncols > nrows:
-        A = np.ascontiguousarray(A.T)
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        rest = r + 1 + np.flatnonzero(A[r + 1 :, c])
-        if rest.size:
-            A[rest] = (A[rest] - A[rest, c, None] * A[r]) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _rank_sparse_mod_p(rows, p: int) -> int:
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         work = {c: v % p for c, v in row.items() if v % p}

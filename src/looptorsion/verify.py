@@ -90,7 +90,7 @@ def check_snf_oracles(quiet: bool = True) -> dict:
     ]
     for mat, expected in fixed:
         rows = [{j: v for j, v in enumerate(r) if v} for r in mat]
-        invs, _ = snf.smith_normal_form(rows, len(mat[0]))
+        invs, _ = snf.smith_normal_form(rows)
         ok = ok and invs == expected and snf.invariant_factors_dense(mat) == expected
     for conv in CONVENTIONS:
         rels_e = relation_set_E(THEOREM1_PARAMS, 3, conv)
@@ -99,7 +99,7 @@ def check_snf_oracles(quiet: bool = True) -> dict:
             for n in degrees:
                 matrix = ideal_spanning_matrix(rels, n)
                 _progress(f"  snf-oracle: {len(matrix.rows)}x{matrix.ncols} degree {n}", quiet)
-                invs, _ = snf.smith_normal_form(matrix.rows, matrix.ncols)
+                invs, _ = snf.smith_normal_form(matrix.rows)
                 dense = [[row.get(c, 0) for c in range(matrix.ncols)] for row in matrix.rows]
                 ok = ok and snf.invariant_factors_dense(dense) == invs
     return {"name": "snf-oracle-agreement", "ok": ok}

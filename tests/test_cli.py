@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from looptorsion.cli import main
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
 
 
 def run_cli(capsys, *argv):
@@ -203,3 +207,12 @@ def test_export_relations_ax(capsys):
     code, out = run_cli(capsys, "export-relations", "--algebra", "AX")
     assert code == 0
     assert len(out.splitlines()) == 14  # header + 13 relations
+
+
+def test_cli_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, looptorsion.cli; assert 'numpy' not in sys.modules"],
+        env=env,
+        check=True,
+    )

@@ -243,6 +243,22 @@ def test_census_general_mode_includes_2_and_3():
     assert all(r.expectation is None for r in rows)
 
 
+@pytest.mark.parametrize("params", [Params(1, 2, 3, 4, 5, 6), nt.theorem2_params([2, 3, 5])])
+def test_census_general_matches_classify_prime_by_prime(params):
+    bound = 4000
+    rebuilt: dict[int, dict] = {}
+    for p in nt.sieve_primes(bound):
+        torsion = nt.classify_prime_general(params, p).verdict == "torsion"
+        row = rebuilt.setdefault(
+            p % 24,
+            {"class": p % 24, "count": 0, "torsion": 0, "non_torsion": 0, "paper_expectation": None, "discrepancies": []},
+        )
+        row["count"] += 1
+        row["torsion" if torsion else "non_torsion"] += 1
+    rows = nt.census(bound, mode="general", params=params)
+    assert [r.to_json() for r in rows] == [rebuilt[c] for c in sorted(rebuilt)]
+
+
 def test_census_json_and_table():
     rows = nt.census(100, mode="theorem1")
     payload = [r.to_json() for r in rows]

@@ -6,6 +6,9 @@ from math import gcd
 import pytest
 
 from looptorsion import snf
+from looptorsion.freealg import CONVENTIONS
+from looptorsion.presentation import THEOREM1_PARAMS, relation_set_AX, relation_set_E
+from looptorsion.quotient import ideal_spanning_matrix
 
 
 def sparse(mat):
@@ -17,17 +20,17 @@ def random_matrix(rng, m, n, lo=-6, hi=6, density=0.7):
 
 
 def test_snf_fixed_examples():
-    assert snf.smith_normal_form(sparse([[2, 0], [0, 4]]), 2) == ([2, 4], 2)
-    assert snf.smith_normal_form(sparse([[2, 4], [4, 8]]), 2) == ([2], 1)
-    assert snf.smith_normal_form(sparse([[1, 0], [0, 0]]), 2) == ([1], 1)
-    assert snf.smith_normal_form([], 5) == ([], 0)
+    assert snf.smith_normal_form(sparse([[2, 0], [0, 4]])) == ([2, 4], 2)
+    assert snf.smith_normal_form(sparse([[2, 4], [4, 8]])) == ([2], 1)
+    assert snf.smith_normal_form(sparse([[1, 0], [0, 0]])) == ([1], 1)
+    assert snf.smith_normal_form([]) == ([], 0)
 
 
 def test_snf_divisibility_chain_holds():
     rng = random.Random(23)
     for _ in range(60):
         mat = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        invs, rank = snf.smith_normal_form(sparse(mat), len(mat[0]))
+        invs, rank = snf.smith_normal_form(sparse(mat))
         assert len(invs) == rank
         assert all(d > 0 for d in invs)
         for a, b in zip(invs, invs[1:]):
@@ -38,14 +41,14 @@ def test_snf_matches_dense_oracle_on_random_matrices():
     rng = random.Random(29)
     for _ in range(80):
         mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), lo=-9, hi=9)
-        invs, _ = snf.smith_normal_form(sparse(mat), len(mat[0]))
+        invs, _ = snf.smith_normal_form(sparse(mat))
         assert invs == snf.invariant_factors_dense(mat)
 
 
 def test_snf_known_diagonalization():
     # 2x2 with determinant 12 and content 2: invariants (2, 6)
     mat = [[2, 4], [4, 14]]
-    assert snf.smith_normal_form(sparse(mat), 2)[0] == [2, 6]
+    assert snf.smith_normal_form(sparse(mat))[0] == [2, 6]
     assert snf.invariant_factors_dense(mat) == [2, 6]
 
 
@@ -54,32 +57,45 @@ def test_rank_exact_agrees_with_modular_rank_away_from_torsion():
     for _ in range(40):
         mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         rows = sparse(mat)
-        invs, rank = snf.smith_normal_form(rows, len(mat[0]))
+        invs, rank = snf.smith_normal_form(rows)
         assert snf.rank_exact(rows) == rank
         for p in (101, 1_000_003):
             expected = sum(1 for d in invs if d % p)
-            assert snf.rank_mod_p(rows, len(mat[0]), p) == expected
+            assert snf.rank_mod_p(rows, p) == expected
 
 
 def test_rank_mod_p_detects_torsion_drop():
     rows = sparse([[2, 0], [0, 3]])
-    assert snf.rank_mod_p(rows, 2, 2) == 1
-    assert snf.rank_mod_p(rows, 2, 3) == 1
-    assert snf.rank_mod_p(rows, 2, 5) == 2
+    assert snf.rank_mod_p(rows, 2) == 1
+    assert snf.rank_mod_p(rows, 3) == 1
+    assert snf.rank_mod_p(rows, 5) == 2
 
 
-def test_rank_mod_p_sparse_and_dense_paths_agree():
+def rank_mod_p_from_dense_snf(invs, p):
+    """Rank over F_p read off the dense oracle's invariant factors."""
+    return sum(1 for d in invs if d % p)
+
+
+def test_rank_mod_p_matches_dense_snf_oracle():
     rng = random.Random(37)
     for _ in range(25):
         mat = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        rows = sparse(mat)
+        invs = snf.invariant_factors_dense(mat)
         for p in (2, 13, 97):
-            assert snf._rank_sparse_mod_p(rows, p) == snf._rank_dense_mod_p(rows, len(mat[0]), p)
+            assert snf.rank_mod_p(sparse(mat), p) == rank_mod_p_from_dense_snf(invs, p)
+    for conv in CONVENTIONS:
+        for rels in (relation_set_E(THEOREM1_PARAMS, 3, conv), relation_set_AX(THEOREM1_PARAMS, conv)):
+            for n in range(4):
+                matrix = ideal_spanning_matrix(rels, n)
+                dense = [[row.get(c, 0) for c in range(matrix.ncols)] for row in matrix.rows]
+                invs = snf.invariant_factors_dense(dense)
+                for p in (2, 3, 5, 7, 11, 13, 83):
+                    assert snf.rank_mod_p(matrix.rows, p) == rank_mod_p_from_dense_snf(invs, p)
 
 
 def test_rank_mod_p_rejects_huge_prime():
     with pytest.raises(ValueError):
-        snf.rank_mod_p([{0: 1}], 1, 1 << 61)
+        snf.rank_mod_p([{0: 1}], 1 << 61)
 
 
 def test_order_in_quotient_examples():
@@ -122,7 +138,7 @@ def test_eliminator_handles_non_unit_pivots():
     # no +-1 entries anywhere; forces the gcd-reduction path
     mat = [[6, 10], [15, 4]]
     det = abs(6 * 4 - 10 * 15)
-    invs, rank = snf.smith_normal_form(sparse(mat), 2)
+    invs, rank = snf.smith_normal_form(sparse(mat))
     assert rank == 2
     assert invs[0] * invs[1] == det
     assert invs[0] == gcd(gcd(6, 10), gcd(15, 4))
