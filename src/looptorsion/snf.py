@@ -13,6 +13,15 @@ operations or pivoting.  Expressing a vector in the final column basis
 this way is what turns Smith normal form into element orders in a
 quotient lattice.
 
+`smith_normal_form` and `rank_exact` first split the rows into
+connected blocks (two rows meet when they share a column; the
+degreewise relation matrices fall apart into hundreds of small blocks),
+eliminate each block on its own, and merge all the block diagonals
+into one divisibility chain.  The merge is linear when the sorted
+diagonal already divides through, and falls back to pairwise gcd/lcm
+redistribution otherwise.  `order_in_quotient` eliminates the whole
+matrix, since its passenger vector may touch any block.
+
 Rank over a prime field F_p comes from one sparse Gaussian elimination
 mod p (`rank_mod_p`) with plain Python integers, for every matrix size
 and every prime below 2^61.  It shares no code with the integer engine,
@@ -210,11 +219,50 @@ class _Eliminator:
         return self.diag, self.passenger
 
 
+def _components(rows) -> list[list[SparseRow]]:
+    """The nonzero rows grouped into connected blocks, in input order.
+
+    Two rows are in the same block when they share a column; a
+    union-find over the columns each row touches finds the blocks.
+    All-zero rows (explicit zero entries included) are dropped.
+    """
+    parent: dict[int, int] = {}
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    kept = []
+    for row in rows:
+        support = [c for c, v in row.items() if v]
+        if not support:
+            continue
+        kept.append((row, support[0]))
+        root = find(parent.setdefault(support[0], support[0]))
+        for c in support[1:]:
+            r = find(parent.setdefault(c, c))
+            if r != root:
+                parent[r] = root
+    blocks: dict[int, list[SparseRow]] = {}
+    for row, c in kept:
+        blocks.setdefault(find(c), []).append(row)
+    return list(blocks.values())
+
+
+def _block_diagonal(rows) -> list[int]:
+    """Absolute diagonal entries of every connected block, eliminated apart."""
+    return [v for block in _components(rows) for _, v in _Eliminator(block).run()[0]]
+
+
 def _divisibility_chain(values) -> list[int]:
     """Redistribute a diagonal multiset into chained invariant factors."""
     values = [abs(v) for v in values]
     nontrivial = sorted(v for v in values if v > 1)
     ones = sum(1 for v in values if v == 1)
+    if all(b % a == 0 for a, b in zip(nontrivial, nontrivial[1:])):
+        return [1] * ones + nontrivial
     changed = True
     while changed:
         changed = False
@@ -234,15 +282,13 @@ def smith_normal_form(rows) -> tuple[list[int], int]:
 
     `rows` is an iterable of sparse rows.
     """
-    diag, _ = _Eliminator(rows).run()
-    invs = _divisibility_chain(v for _, v in diag)
-    return invs, len(diag)
+    diag = _block_diagonal(rows)
+    return _divisibility_chain(diag), len(diag)
 
 
 def rank_exact(rows) -> int:
     """Rank over the rationals, by exact integer elimination."""
-    diag, _ = _Eliminator(rows).run()
-    return len(diag)
+    return len(_block_diagonal(rows))
 
 
 def order_in_quotient(rows, vector: SparseRow):

@@ -139,3 +139,10 @@ def test_select_convention_small():
     report = select_convention(THEOREM1_PARAMS, max_degree=2, fields=("Q",))
     assert set(report["passing"]) == {"graded", "ungraded"}
     assert report["selected_default"] == "graded"
+
+
+def test_semi_tensor_identity_through_degree_5():
+    report = semi_tensor_dimension_check(THEOREM1_PARAMS, "Q", 5, GRADED)
+    assert [d["n"] for d in report["degrees"]] == list(range(6))
+    assert all(d["dims_ok"] and d["divisors_ok"] for d in report["degrees"])
+    assert report["ok"]

@@ -216,3 +216,21 @@ def test_cli_import_loads_no_numpy():
         env=env,
         check=True,
     )
+
+
+def test_torsion_primes_with_divisor_beyond_seven_bases(capsys):
+    code, out = run_cli(capsys, "torsion-primes", "--params", "0,4,-3,1,1000000000000037,5", "--max-degree", "3")
+    assert code == 0
+    assert "computed torsion primes: [1000000000000037]" in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "looptorsion", "order", "--rho", "4,4"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run_cli(capsys, "order", "--rho", "4,4") == (0, proc.stdout)

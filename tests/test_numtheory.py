@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -19,6 +21,24 @@ def test_is_prime_small():
 def test_is_prime_rejects_beyond_deterministic_range():
     with pytest.raises(ValueError):
         nt.is_prime(nt.DETERMINISTIC_PRIMALITY_BOUND + 1)
+
+
+def test_is_prime_beyond_seven_bases():
+    # strong pseudoprimes to the bases 2..17, 2..23 and 2..37
+    for n in (341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not nt.is_prime(n)
+    rng = random.Random(59)
+    for _ in range(300):
+        n = rng.randrange(330_000_000_000_000, 3_300_000_000_000_000_000_000_000)
+        assert nt.is_prime(n) == sympy.isprime(n)
+        p = sympy.nextprime(n)
+        if p < nt.DETERMINISTIC_PRIMALITY_BOUND:
+            assert nt.is_prime(p)
+
+
+def test_factorize_beyond_seven_bases():
+    n = 2 + 3**35
+    assert nt.factorize(n) == sympy.factorint(n)
 
 
 def test_factorize():

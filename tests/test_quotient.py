@@ -144,3 +144,9 @@ def test_ax_degree_3_matches_inner_structure():
     assert graded_piece(rels, 2).free_rank == 51
     p3 = graded_piece(rels, 3)
     assert p3.free_rank == 304 and p3.divisors == (11,)
+
+
+def test_graded_piece_reference_degree_6():
+    piece = graded_piece(relation_set_E(THEOREM1_PARAMS, 6, GRADED), 6)
+    assert piece.free_rank == 38501
+    assert piece.divisors == (11,) * 719 + (319,) * 94 + (26477,) * 11 + (6486865,)

@@ -143,3 +143,95 @@ def test_eliminator_handles_non_unit_pivots():
     assert invs[0] * invs[1] == det
     assert invs[0] == gcd(gcd(6, 10), gcd(15, 4))
     assert invs == snf.invariant_factors_dense(mat)
+
+
+def random_block_diagonal(rng):
+    """Sparse rows of 2-4 random blocks (each up to 5 x 5, entries -6..6).
+
+    Block columns are mapped injectively into 0..40 and the rows are
+    shuffled.  One all-zero row is added, and one row stores an explicit
+    zero in a column that belongs to another block.
+    """
+    free_cols = rng.sample(range(41), 41)
+    rows = []
+    for _ in range(rng.randint(2, 4)):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        cols = [free_cols.pop() for _ in range(n)]
+        for dense_row in random_matrix(rng, m, n):
+            rows.append({cols[j]: v for j, v in enumerate(dense_row) if v})
+    rows.append({})
+    rng.shuffle(rows)
+    nonzero = [row for row in rows if row]
+    if nonzero:
+        first, other = nonzero[0], nonzero[-1]
+        spare = [c for c in other if c not in first] or [free_cols.pop()]
+        first[spare[0]] = 0
+    return rows
+
+
+def dense(rows, ncols=41):
+    out = [[0] * ncols for _ in rows]
+    for out_row, row in zip(out, rows):
+        for c, v in row.items():
+            out_row[c] = v
+    return out
+
+
+def test_snf_and_rank_per_block_match_dense_oracle():
+    rng = random.Random(43)
+    for _ in range(60):
+        rows = random_block_diagonal(rng)
+        expected = snf.invariant_factors_dense(dense(rows))
+        assert snf.smith_normal_form(rows) == (expected, len(expected))
+        assert snf.rank_exact(rows) == len(expected)
+
+
+def test_components_partition_the_nonzero_rows():
+    rng = random.Random(47)
+    for _ in range(60):
+        rows = random_block_diagonal(rng)
+        rows.append({7: 0, 11: 0})
+        blocks = snf._components(rows)
+        placed = [id(row) for block in blocks for row in block]
+        nonzero = [id(row) for row in rows if any(row.values())]
+        assert sorted(placed) == sorted(nonzero)
+        order = {id(row): i for i, row in enumerate(rows)}
+        owner = {}
+        for b, block in enumerate(blocks):
+            assert [order[id(row)] for row in block] == sorted(order[id(row)] for row in block)
+            for row in block:
+                for c, v in row.items():
+                    if v:
+                        assert owner.setdefault(c, b) == b
+        # explicit zeros join no blocks
+        stripped = [{c: v for c, v in row.items() if v} for row in rows]
+        assert [len(block) for block in snf._components(stripped)] == [len(block) for block in blocks]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (),
+        (1, 1),
+        (3,),
+        (2, 4, 12),
+        (1, 3, 3, 9, 1),
+        (-2, 6),
+        (2, 3),
+        (4, 6, 10),
+        (12, 18, 8),
+        (1, 1, 5),
+        (11, 29, 11, 83, 245, 319),
+    ],
+)
+def test_divisibility_chain_matches_dense_oracle(values):
+    diagonal = [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+    assert snf._divisibility_chain(values) == snf.invariant_factors_dense(diagonal)
+
+
+def test_divisibility_chain_random_multisets():
+    rng = random.Random(53)
+    for _ in range(100):
+        values = [rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 30)) for _ in range(rng.randint(1, 7))]
+        diagonal = [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
+        assert snf._divisibility_chain(values) == snf.invariant_factors_dense(diagonal)
