@@ -41,9 +41,6 @@ from .presentation import Params
 #: strong pseudoprime to all of them, about 3.3e24).
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-#: Below this bound (about 3.4e14) the first 7 bases already decide.
-_FEW_BASES_BOUND = 341_550_071_728_321
-_FEW_BASES = _MR_BASES[:7]
 
 #: The residue-rule expectations claimed for the reference family,
 #: keyed by p mod 24.  Only the "non-torsion" half is a sound decision
@@ -64,8 +61,7 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"primality is only decided deterministically below {DETERMINISTIC_PRIMALITY_BOUND}")
     if n < 2:
         return False
-    bases = _FEW_BASES if n < _FEW_BASES_BOUND else _MR_BASES
-    for p in bases:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -73,7 +69,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

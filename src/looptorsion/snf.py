@@ -17,10 +17,9 @@ quotient lattice.
 connected blocks (two rows meet when they share a column; the
 degreewise relation matrices fall apart into hundreds of small blocks),
 eliminate each block on its own, and merge all the block diagonals
-into one divisibility chain.  The merge is linear when the sorted
-diagonal already divides through, and falls back to pairwise gcd/lcm
-redistribution otherwise.  `order_in_quotient` eliminates the whole
-matrix, since its passenger vector may touch any block.
+into one divisibility chain by pairwise gcd/lcm redistribution.
+`order_in_quotient` eliminates the whole matrix, since its passenger
+vector may touch any block.
 
 Rank over a prime field F_p comes from one sparse Gaussian elimination
 mod p (`rank_mod_p`) with plain Python integers, for every matrix size
@@ -261,8 +260,6 @@ def _divisibility_chain(values) -> list[int]:
     values = [abs(v) for v in values]
     nontrivial = sorted(v for v in values if v > 1)
     ones = sum(1 for v in values if v == 1)
-    if all(b % a == 0 for a, b in zip(nontrivial, nontrivial[1:])):
-        return [1] * ones + nontrivial
     changed = True
     while changed:
         changed = False
