@@ -333,6 +333,11 @@ def divides_some_am(params: Params, q: int) -> int | None:
     already visited, so no zero follows.
     """
     _require_prime(q, "q")
+    return _first_zero_of_am(params, q)
+
+
+def _first_zero_of_am(params: Params, q: int) -> int | None:
+    """`divides_some_am` without the primality check, for primes already sieved."""
     a_, b_, c_, d_ = params.a % q, params.b % q, params.c % q, params.d % q
     a, b = params.a2 % q, params.b2 % q
     m = 2
@@ -414,8 +419,9 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
     """Classify every prime below bound and aggregate by residue mod 24.
 
     mode "theorem1" takes the verdicts of `theorem1_verdicts` and skips 2
-    and 3; mode "general" decides every prime by the recurrence walk
-    `divides_some_am` for the given params, without the witness re-check
+    and 3; mode "general" decides every prime by the recurrence walk of
+    `divides_some_am` for the given params, without its primality check
+    (the primes come from the sieve) and without the witness re-check
     and Legendre symbols of `classify_prime_general`.  Rows carry the
     residue-rule expectation where one exists and list every prime whose
     verdict contradicts it.
@@ -430,7 +436,7 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
         verdicts = theorem1_verdicts(bound)
         expectations = RULE_EXPECTATION
     else:
-        verdicts = ((p, divides_some_am(params, p) is not None) for p in sieve_primes(bound))
+        verdicts = ((p, _first_zero_of_am(params, p) is not None) for p in sieve_primes(bound))
         expectations = {}
     rows: dict[int, CensusRow] = {}
     for p, torsion in verdicts:

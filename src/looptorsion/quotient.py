@@ -49,7 +49,11 @@ _modrank_cache: dict = {}
 
 
 def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
-    """All (left, relation, right) expansions in degree n, deduplicated."""
+    """All (left, relation, right) expansions in degree n, one row each.
+
+    Duplicate rows are kept: they change neither the Smith form nor any
+    rank.
+    """
     key = (rels, n)
     cached = _matrix_cache.get(key)
     if cached is not None:
@@ -57,7 +61,6 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
     g = rels.num_gens
     rows: list[dict[int, int]] = []
     descriptors = []
-    seen = set()
     for rel in rels.relations:
         d = rel.degree
         if d > n:
@@ -72,12 +75,7 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
                 base_l = lrank * gdj
                 for rrank, rword in enumerate(product(range(g), repeat=j)):
                     off = base_l + rrank
-                    row = {off + rank: coeff for rank, coeff in shifted}
-                    sig = tuple(sorted(row.items()))
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    rows.append(row)
+                    rows.append({off + rank: coeff for rank, coeff in shifted})
                     descriptors.append((lword, rel.tag, rword))
     matrix = DegreeMatrix(n, g, rows, descriptors)
     _matrix_cache[key] = matrix
