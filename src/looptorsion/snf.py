@@ -260,17 +260,13 @@ def _components(rows) -> list[list[SparseRow]]:
     return list(blocks.values())
 
 
-def _block_diagonal(rows) -> list[int]:
-    """Absolute diagonal entries of every connected block, eliminated apart."""
-    return [v for block in _components(rows) for _, v in _Eliminator(block).run()[0]]
-
-
 def _coprime_base(values) -> list[int]:
-    """Pairwise coprime numbers > 1 of which every value (each > 1) is a product.
+    """Pairwise coprime numbers > 1 whose products give every value (each > 1).
 
-    Factor refinement by gcd alone: a pending number that shares a factor
-    g > 1 with a base element b replaces b by x / g, g and b / g (ones
-    dropped), which lowers the product of all pending and base numbers.
+    Factor refinement by gcd alone: a pending number x that shares a
+    factor g > 1 with a base element b replaces b by x / g, g and b / g
+    (ones dropped), which lowers the product of all pending and base
+    numbers, so the loop ends.
     """
     base: list[int] = []
     pending = list(values)
@@ -291,8 +287,9 @@ def _coprime_base(values) -> list[int]:
 def _divisibility_chain(values) -> list[int]:
     """Redistribute a diagonal multiset into chained invariant factors.
 
-    Over a coprime base of the values, each base element's exponents are
-    sorted and dealt to the factors from the top, largest first.
+    Over a coprime base of the values, each base element's exponents in
+    all the values (with multiplicity) are sorted and dealt to the
+    factors from the top, largest first.
     """
     values = [abs(v) for v in values]
     ones = values.count(1)
@@ -317,9 +314,10 @@ def _divisibility_chain(values) -> list[int]:
 def smith_normal_form(rows) -> tuple[list[int], int]:
     """Invariant factors d1 | d2 | ... | d_rank (all positive) and rank.
 
-    `rows` is an iterable of sparse rows.
+    `rows` is an iterable of sparse rows.  Each connected block is
+    eliminated on its own.
     """
-    diag = _block_diagonal(rows)
+    diag = [v for block in _components(rows) for _, v in _Eliminator(block).run()[0]]
     return _divisibility_chain(diag), len(diag)
 
 
