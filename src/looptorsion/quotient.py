@@ -13,7 +13,6 @@ set and degree, since the verification suites revisit them repeatedly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import numtheory, snf
 from .freealg import Element, word_rank
@@ -27,7 +26,6 @@ class DegreeMatrix:
     degree: int
     num_gens: int
     rows: list[dict[int, int]]
-    descriptors: list[tuple[tuple, str, tuple]]  # (left word, relation tag, right word)
 
     @property
     def ncols(self) -> int:
@@ -60,7 +58,6 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
         return cached
     g = rels.num_gens
     rows: list[dict[int, int]] = []
-    descriptors = []
     for rel in rels.relations:
         d = rel.degree
         if d > n:
@@ -71,13 +68,12 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
             gj = g**j
             gdj = g ** (d + j)
             shifted = [(rank * gj, coeff) for rank, coeff in terms]
-            for lrank, lword in enumerate(product(range(g), repeat=i)):
+            for lrank in range(g**i):
                 base_l = lrank * gdj
-                for rrank, rword in enumerate(product(range(g), repeat=j)):
+                for rrank in range(gj):
                     off = base_l + rrank
                     rows.append({off + rank: coeff for rank, coeff in shifted})
-                    descriptors.append((lword, rel.tag, rword))
-    matrix = DegreeMatrix(n, g, rows, descriptors)
+    matrix = DegreeMatrix(n, g, rows)
     _matrix_cache[key] = matrix
     return matrix
 
@@ -105,11 +101,16 @@ def dimension(rels: RelationSet, n: int, field) -> int:
 
     The rational dimension comes from the exact integer elimination; the
     modular one from an independent Gaussian elimination mod p, so their
-    comparison genuinely cross-checks the Smith form.
+    comparison genuinely cross-checks the Smith form.  A field that is
+    not Q must be a prime below 2^61.
     """
     if field == "Q":
         return graded_piece(rels, n).free_rank
     p = int(field)
+    if p >= snf.MAX_FIELD_PRIME:
+        raise ValueError(f"field primes must be < 2^61, got {p}")
+    if not numtheory.is_prime(p):
+        raise ValueError(f"field characteristic {p} is not prime")
     key = (rels, n, p)
     rank = _modrank_cache.get(key)
     if rank is None:

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import numtheory
 from .quotient import dimension
 from .presentation import RelationSet
-from .snf import MAX_FIELD_PRIME
 
 
 @dataclass(frozen=True)
@@ -89,12 +87,6 @@ def dimension_series(rels: RelationSet, field, truncation: int) -> PowerSeries:
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    if field != "Q":
-        p = int(field)
-        if p >= MAX_FIELD_PRIME:
-            raise ValueError(f"field primes must be < 2^61, got {p}")
-        if not numtheory.is_prime(p):
-            raise ValueError(f"field characteristic {p} is not prime")
     return PowerSeries.from_coeffs([dimension(rels, n, field) for n in range(truncation + 1)])
 
 

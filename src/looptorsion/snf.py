@@ -5,10 +5,14 @@ matrix by unimodular row and column operations, favouring pivots of
 smallest absolute value (unit pivots first) with a Markowitz-style fill
 tie-break.  That keeps coefficient growth tame on the degreewise
 relation matrices this package produces, where almost every row has a
-unit entry.  A unit pivot is the best-scored unit entry of the two
-lowest-numbered rows that hold one: a wider window cost more in scoring
-than it saved in fill, and a single row let the largest intermediate
-entry grow (14 bits at E degree 6, against 12 with two or 24 rows).
+unit entry.  The pick is one scan of the rows in ascending id that keeps
+the least (|v|, fill score, row, column) key.  It stops after the second
+row that holds a unit, or after the first if that row's best unit scores
+0; without units it scans every row.  So a unit pivot is the best-scored
+unit entry of the two lowest-numbered rows that hold one: a wider window
+cost more in scoring than it saved in fill, and a single row let the
+largest intermediate entry grow (14 bits at E degree 6, against 12 with
+two or 24 rows).
 
 The eliminator can carry a "passenger" row that receives exactly the
 column operations applied to the matrix but never takes part in row
@@ -38,7 +42,6 @@ no code with the sparse engines.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from math import gcd
 
@@ -63,54 +66,32 @@ class _Eliminator:
     def __init__(self, rows, passenger=None):
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        self.units: dict[int, int] = {}
-        self.unit_rows: set[int] = set()
         self.passenger = dict(passenger) if passenger is not None else None
         for rid, row in enumerate(rows):
             r = {c: v for c, v in row.items() if v}
             if not r:
                 continue
             self.rows[rid] = r
-            u = 0
-            for c, v in r.items():
+            for c in r:
                 self.cols.setdefault(c, set()).add(rid)
-                if v == 1 or v == -1:
-                    u += 1
-            self.units[rid] = u
-            if u:
-                self.unit_rows.add(rid)
         self.diag: list[tuple[int, int]] = []
 
     def _axpy(self, dst: int, src: int, k: int) -> None:
-        """rows[dst] += k * rows[src], maintaining all indexes."""
+        """rows[dst] += k * rows[src], maintaining the column index."""
         row_d = self.rows[dst]
-        units = 0
         cols = self.cols
         for c, v in self.rows[src].items():
             old = row_d.get(c, 0)
             new = old + k * v
-            if old == 1 or old == -1:
-                units -= 1
             if new:
                 row_d[c] = new
                 if not old:
                     cols[c].add(dst)
-                if new == 1 or new == -1:
-                    units += 1
             elif old:
                 del row_d[c]
                 cols[c].discard(dst)
         if not row_d:
             del self.rows[dst]
-            self.units.pop(dst, None)
-            self.unit_rows.discard(dst)
-            return
-        u = self.units[dst] + units
-        self.units[dst] = u
-        if u:
-            self.unit_rows.add(dst)
-        else:
-            self.unit_rows.discard(dst)
 
     def _col_axpy(self, dst_col: int, src_col: int, k: int) -> None:
         """column[dst_col] += k * column[src_col], including the passenger."""
@@ -119,25 +100,13 @@ class _Eliminator:
             v = row[src_col]
             old = row.get(dst_col, 0)
             new = old + k * v
-            delta = 0
-            if old == 1 or old == -1:
-                delta -= 1
             if new:
                 row[dst_col] = new
                 if not old:
                     self.cols.setdefault(dst_col, set()).add(rid)
-                if new == 1 or new == -1:
-                    delta += 1
             elif old:
                 del row[dst_col]
                 self.cols[dst_col].discard(rid)
-            if delta:
-                u = self.units[rid] + delta
-                self.units[rid] = u
-                if u:
-                    self.unit_rows.add(rid)
-                else:
-                    self.unit_rows.discard(rid)
         if self.passenger is not None:
             pv = self.passenger.get(src_col, 0)
             if pv:
@@ -148,29 +117,31 @@ class _Eliminator:
                     self.passenger.pop(dst_col, None)
 
     def _pick_pivot(self) -> tuple[int, int]:
-        if self.unit_rows:
-            best = None
-            for rid in heapq.nsmallest(2, self.unit_rows):
-                row = self.rows[rid]
-                rlen = len(row) - 1
-                for c, v in row.items():
-                    if v == 1 or v == -1:
-                        score = rlen * (len(self.cols[c]) - 1)
-                        key = (score, rid, c)
-                        if best is None or key < best:
-                            best = key
-                if best[0] == 0:
-                    # Rows come in ascending id, so no later row beats a
-                    # zero score.
-                    break
-            return best[1], best[2]
-        best = None
+        """Least (|v|, Markowitz score, rid, col) over the rows scanned.
+
+        The scan stops after the second row holding a unit, or after the
+        first if its best unit scores 0: no later row can beat that.
+        """
+        # Rows are only ever deleted, never re-inserted, so the dict
+        # iterates in ascending row id.
+        cols = self.cols
+        best = (float("inf"),)
+        found = 0
         for rid, row in self.rows.items():
             rlen = len(row) - 1
+            has_unit = False
             for c, v in row.items():
-                key = (abs(v), rlen * (len(self.cols[c]) - 1), rid, c)
-                if best is None or key < best:
-                    best = key
+                a = abs(v)
+                if a == 1:
+                    has_unit = True
+                if a <= best[0]:
+                    key = (a, rlen * (len(cols[c]) - 1), rid, c)
+                    if key < best:
+                        best = key
+            if has_unit:
+                found += 1
+                if found == 2 or best[1] == 0:
+                    break
         return best[2], best[3]
 
     def _process_pivot(self, rid: int, col: int) -> None:
@@ -215,8 +186,6 @@ class _Eliminator:
         val = rows[rid][col]
         self.diag.append((col, abs(val)))
         del rows[rid]
-        self.units.pop(rid, None)
-        self.unit_rows.discard(rid)
         cols[col].discard(rid)
         if not cols[col]:
             del cols[col]

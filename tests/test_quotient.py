@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
-from looptorsion.freealg import Element, GRADED, UNGRADED, U1, U4, V, W
+from looptorsion.action import semi_tensor_dimension_check
+from looptorsion.freealg import Element, GRADED, UNGRADED, U1, U4, V, W, word_rank
 from looptorsion.presentation import (
     Params,
     THEOREM1_PARAMS,
@@ -32,14 +35,22 @@ def test_matrix_shapes_match_direct_counts():
 
 
 def test_matrix_descriptors_expand_correctly():
+    # (relation, left word, right word) in the builder's own loop order
     rels = relation_set_E(THEOREM1_PARAMS, 3, GRADED)
-    m3 = ideal_spanning_matrix(rels, 3)
-    for (lword, tag, rword), row in zip(m3.descriptors, m3.rows):
-        rel = next(r for r in rels.relations if r.tag == tag)
-        lhs = Element({lword: 1}) * rel.element * Element({rword: 1})
-        from looptorsion.freealg import word_rank
-
-        assert {word_rank(wd, 6): c for wd, c in lhs.terms.items()} == row
+    n, g = 3, rels.num_gens
+    m3 = ideal_spanning_matrix(rels, n)
+    expected = []
+    for rel in rels.relations:
+        d = rel.degree
+        if d > n:
+            continue
+        for i in range(n - d + 1):
+            for lword in product(range(g), repeat=i):
+                for rword in product(range(g), repeat=n - d - i):
+                    lhs = Element({lword: 1}) * rel.element * Element({rword: 1})
+                    expected.append({word_rank(wd, g): c for wd, c in lhs.terms.items()})
+    assert len(expected) == len(m3.rows)
+    assert expected == m3.rows
 
 
 def test_graded_pieces_low_degrees():
@@ -137,6 +148,16 @@ def test_dimension_over_fields_degree_3():
     assert dimension(rels, 3, "Q") == 202
     assert dimension(rels, 3, 11) == 203
     assert dimension(rels, 3, 13) == 202
+
+
+def test_dimension_rejects_composite_fields():
+    rels = relation_set_E(THEOREM1_PARAMS, 3, GRADED)
+    with pytest.raises(ValueError, match="77"):
+        dimension(rels, 3, 77)
+    with pytest.raises(ValueError, match="35"):
+        semi_tensor_dimension_check(THEOREM1_PARAMS, 35, 3, GRADED)
+    with pytest.raises(ValueError, match="2\\^61"):
+        dimension(rels, 1, (1 << 61) + 9)
 
 
 def test_ax_degree_3_matches_inner_structure():

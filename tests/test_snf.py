@@ -145,6 +145,78 @@ def test_eliminator_handles_non_unit_pivots():
     assert invs == snf.invariant_factors_dense(mat)
 
 
+class WatchedRow(dict):
+    """A sparse row that records whether the pivot scan read its entries."""
+
+    read = False
+
+    def items(self):
+        self.read = True
+        return super().items()
+
+
+def eliminator_watching(mat, watched):
+    """An eliminator over `mat` whose row `watched` records being scanned."""
+    e = snf._Eliminator(sparse(mat))
+    e.rows[watched] = WatchedRow(e.rows[watched])
+    return e
+
+
+def test_pick_pivot_takes_the_two_lowest_unit_rows():
+    # row 0 holds no unit; rows 1 and 2 do (best scores 2 and 1); row 3's
+    # unit scores 0 but lies past the window
+    mat = [
+        [2, 3, 0, 0, 0],
+        [1, 0, 5, 0, 0],
+        [-1, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1],
+    ]
+    e = eliminator_watching(mat, 3)
+    assert e._pick_pivot() == (2, 2)
+    assert not e.rows[3].read
+
+
+def test_pick_pivot_stops_at_a_zero_score_unit():
+    # row 1's unit in column 2 scores 0 and comes after a scored unit in
+    # column 0, so the whole row is read and row 2 is not
+    mat = [
+        [3, 2, 0],
+        [1, 0, 1],
+        [1, 0, 0],
+    ]
+    e = eliminator_watching(mat, 2)
+    assert e._pick_pivot() == (1, 2)
+    assert not e.rows[2].read
+
+
+def test_pick_pivot_without_units_scans_every_row():
+    # least |v| (2) first, then least score (row 3 scores 0), then column
+    mat = [
+        [3, 0, 0, 0, 0, 0, 0],
+        [2, 0, 6, 0, 0, 0, 0],
+        [0, 0, 4, 5, 7, 0, 0],
+        [0, 0, 0, 0, 0, 2, 2],
+    ]
+    e = eliminator_watching(mat, 3)
+    assert e._pick_pivot() == (3, 5)
+    assert e.rows[3].read
+
+
+def test_pick_pivot_after_a_row_is_zeroed():
+    mat = [
+        [2, 2, 0, 0, 0],
+        [1, 1, 0, 0, 0],
+        [3, -1, 0, 0, 0],
+        [0, 0, 0, 0, 1],
+    ]
+    e = eliminator_watching(mat, 3)
+    e._axpy(0, 1, -2)
+    assert 0 not in e.rows and e.cols[0] == {1, 2}
+    # rows 1 and 2 are now the lowest unit rows; row 3 would win on score
+    assert e._pick_pivot() == (1, 0)
+    assert not e.rows[3].read
+
+
 def random_block_diagonal(rng):
     """Sparse rows of 2-4 random blocks (each up to 5 x 5, entries -6..6).
 
