@@ -56,9 +56,15 @@ RULE_EXPECTATION = {
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid below 3.3e24."""
-    if n >= DETERMINISTIC_PRIMALITY_BOUND:
-        raise ValueError(f"primality is only decided deterministically below {DETERMINISTIC_PRIMALITY_BOUND}")
+    """Primality: proven below 3.3e24, Baillie-PSW at and above it.
+
+    Below `DETERMINISTIC_PRIMALITY_BOUND` this is strong Miller-Rabin to
+    the first 13 prime bases, which is a proof.  At and above it the
+    verdict is Baillie-PSW (Baillie & Wagstaff, Math. Comp. 35, 1980): not
+    a perfect square, a strong probable prime to base 2, and a strong
+    Lucas probable prime with Selfridge's parameters.  No composite is
+    known to pass it, but none is proven impossible.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -69,17 +75,80 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    if n >= DETERMINISTIC_PRIMALITY_BOUND:
+        return isqrt(n) ** 2 != n and _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+    return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Strong Fermat test of odd n to base a, where n - 1 = d * 2^s with d odd."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd non-square n with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D) / 4.  With n + 1 = d * 2^s, d odd, n passes when
+    U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n by binary doubling (P = 1) from k = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            # n is odd, so adding it makes an odd numerator even
+            U = ((U + n if U & 1 else U) >> 1) % n
+            V = ((V + n if V & 1 else V) >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
 
 
 def _require_prime(p: int, what: str = "p") -> None:

@@ -14,11 +14,22 @@ cost more in scoring than it saved in fill, and a single row let the
 largest intermediate entry grow (14 bits at E degree 6, against 12 with
 two or 24 rows).
 
+Before the pivot loop the eliminator peels: a ±1 alone in its column
+is a pivot that needs no row operation, and clearing its row takes
+column operations that touch no other row, so the row is simply taken
+out.  That can leave another column with one row, so the peel
+cascades, as weight-1 columns are removed in structured Gaussian
+elimination (LaMacchia & Odlyzko, CRYPTO '90).  It takes 4849 of E
+degree 6's 8450 rows and 1306 of AX degree 4's 2496.  A lone entry of
+larger size is left to the pivot loop.  In the loop, once the column
+phase has cleared the pivot column, the row phase's column operations
+likewise touch only the pivot row, so they are done in place on it.
+
 The eliminator can carry a "passenger" row that receives exactly the
-column operations applied to the matrix but never takes part in row
-operations or pivoting.  Expressing a vector in the final column basis
-this way is what turns Smith normal form into element orders in a
-quotient lattice.
+column operations applied to the matrix, the peel's included, but never
+takes part in row operations or pivoting.  Expressing a vector in the
+final column basis this way is what turns Smith normal form into
+element orders in a quotient lattice.
 
 `smith_normal_form` first splits the rows into connected blocks (two
 rows meet when they share a column; the degreewise relation matrices
@@ -26,7 +37,10 @@ fall apart into hundreds of small blocks), eliminates each block on its
 own, and merges all the block diagonals into one divisibility chain
 over a coprime base: factor refinement by gcd turns the distinct
 diagonal values into pairwise coprime numbers, and each one's exponents
-are dealt to the invariant factors from the top.
+are dealt to the invariant factors from the top.  The peel runs inside
+each block's eliminator: one pass over the whole matrix before the
+split also holds the whole column index at once, and raised the peak
+memory of a torsion report by about 8 %.
 `order_in_quotient` eliminates the whole matrix, since its passenger
 vector may touch any block.
 
@@ -66,7 +80,7 @@ class _Eliminator:
     def __init__(self, rows, passenger=None):
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        self.passenger = dict(passenger) if passenger is not None else None
+        self.passenger = None if passenger is None else {c: v for c, v in passenger.items() if v}
         for rid, row in enumerate(rows):
             r = {c: v for c, v in row.items() if v}
             if not r:
@@ -93,28 +107,53 @@ class _Eliminator:
         if not row_d:
             del self.rows[dst]
 
-    def _col_axpy(self, dst_col: int, src_col: int, k: int) -> None:
-        """column[dst_col] += k * column[src_col], including the passenger."""
-        for rid in list(self.cols.get(src_col, ())):
-            row = self.rows[rid]
-            v = row[src_col]
-            old = row.get(dst_col, 0)
-            new = old + k * v
+    def _passenger_axpy(self, dst_col: int, src_col: int, k: int) -> None:
+        """passenger[dst_col] += k * passenger[src_col], if there is one."""
+        p = self.passenger
+        if p is None:
+            return
+        pv = p.get(src_col)
+        if pv:
+            new = p.get(dst_col, 0) + k * pv
             if new:
-                row[dst_col] = new
-                if not old:
-                    self.cols.setdefault(dst_col, set()).add(rid)
-            elif old:
-                del row[dst_col]
-                self.cols[dst_col].discard(rid)
-        if self.passenger is not None:
-            pv = self.passenger.get(src_col, 0)
-            if pv:
-                new = self.passenger.get(dst_col, 0) + k * pv
-                if new:
-                    self.passenger[dst_col] = new
-                else:
-                    self.passenger.pop(dst_col, None)
+                p[dst_col] = new
+            else:
+                p.pop(dst_col, None)
+
+    def _peel(self) -> None:
+        """Take every ±1 that is alone in its column as a pivot, in bulk.
+
+        Such a column holds no other row, so the column operations that
+        clear the pivot row touch only that row and the passenger: the
+        row is deleted and its columns lose one row.  A column left with
+        one row joins the stack, so the peel cascades.  Other rows are
+        never changed, so the rows peeled do not depend on the order.
+        Lone entries of larger size are left to the pivot loop.
+        """
+        rows, cols, passenger = self.rows, self.cols, self.passenger
+        stack = [c for c, rs in cols.items() if len(rs) == 1]
+        while stack:
+            col = stack.pop()
+            rs = cols[col]
+            if len(rs) != 1:
+                continue
+            (rid,) = rs
+            row = rows[rid]
+            u = row[col]
+            if u != 1 and u != -1:
+                continue
+            self.diag.append((col, 1))
+            del rows[rid]
+            del cols[col]
+            for c, v in row.items():
+                if c == col:
+                    continue
+                if passenger:
+                    self._passenger_axpy(c, col, -v * u)
+                rs = cols[c]
+                rs.discard(rid)
+                if len(rs) == 1:
+                    stack.append(c)
 
     def _pick_pivot(self) -> tuple[int, int]:
         """Least (|v|, Markowitz score, rid, col) over the rows scanned.
@@ -165,21 +204,27 @@ class _Eliminator:
             if restart:
                 continue
             # Row phase: the pivot column now holds only the pivot, so
-            # column operations touch nothing but the pivot row (and the
-            # passenger).  A remainder moves the pivot to a new column,
-            # which may be dirty again.
-            val = rows[rid][col]
+            # every column operation touches nothing but the pivot row
+            # (and the passenger) and is done in place.  A remainder
+            # moves the pivot to a new column, which may be dirty again.
+            row = rows[rid]
+            val = row[col]
             moved = False
-            for c in sorted(rows[rid]):
+            for c in sorted(row):
                 if c == col:
                     continue
-                q = _nearest_quotient(rows[rid][c], val)
+                q = _nearest_quotient(row[c], val)
                 if q:
-                    self._col_axpy(c, col, -q)
-                if rows[rid].get(c, 0):
-                    col = c
-                    moved = True
-                    break
+                    new = row[c] - q * val
+                    self._passenger_axpy(c, col, -q)
+                    if not new:
+                        del row[c]
+                        cols[c].discard(rid)
+                        continue
+                    row[c] = new
+                col = c
+                moved = True
+                break
             if moved:
                 continue
             break
@@ -191,6 +236,7 @@ class _Eliminator:
             del cols[col]
 
     def run(self):
+        self._peel()
         while self.rows:
             rid, col = self._pick_pivot()
             self._process_pivot(rid, col)
@@ -293,10 +339,14 @@ def smith_normal_form(rows) -> tuple[list[int], int]:
 def order_in_quotient(rows, vector: SparseRow):
     """Order of a vector in Z^ncols modulo the row lattice of `rows`.
 
-    Carries the vector through the column operations of the elimination;
-    in the final basis the lattice is spanned by d_j * e_j over the pivot
-    columns, so the order is lcm(d_j / gcd(d_j, c_j)), or None (infinite)
-    when the vector has support outside the pivot columns.
+    Carries the vector through the column operations of the elimination,
+    the peel's included: taking out a row with a lone unit u in column j
+    adds -v * u * c_j to the vector's coefficient c of every other
+    column holding an entry v of that row.  In the final basis the
+    lattice is spanned by d_j * e_j over the pivot columns, so the order
+    is lcm(d_j / gcd(d_j, c_j)), or None (infinite) when the vector has
+    support outside the pivot columns.  Zero entries of the vector are
+    ignored.
     """
     diag, passenger = _Eliminator(rows, passenger=vector).run()
     pivot = dict(diag)

@@ -224,6 +224,14 @@ def test_torsion_primes_with_divisor_beyond_seven_bases(capsys):
     assert "computed torsion primes: [1000000000000037]" in out
 
 
+def test_torsion_primes_with_divisor_beyond_deterministic_primality(capsys):
+    # 10^25 + 13 is prime (sympy agrees) and above 3.3e24, so Baillie-PSW decides it
+    code, out = run_cli(capsys, "torsion-primes", "--params", "0,4,-3,1,10000000000000000000000013,5", "--max-degree", "3")
+    assert code == 0
+    assert "computed torsion primes: [10000000000000000000000013]" in out
+    assert "agree: True" in out
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(

@@ -18,9 +18,17 @@ def test_is_prime_small():
     assert not nt.is_prime(1) and not nt.is_prime(0) and not nt.is_prime(-7)
 
 
-def test_is_prime_rejects_beyond_deterministic_range():
-    with pytest.raises(ValueError):
-        nt.is_prime(nt.DETERMINISTIC_PRIMALITY_BOUND + 1)
+def test_is_prime_beyond_deterministic_range_matches_sympy():
+    # the bound itself is a strong pseudoprime to all 13 bases, base 2
+    # included, so the Lucas half of Baillie-PSW must reject it
+    assert nt.DETERMINISTIC_PRIMALITY_BOUND == 3317044064679887385961981
+    assert not nt.is_prime(nt.DETERMINISTIC_PRIMALITY_BOUND)
+    assert not nt.is_prime(nt.DETERMINISTIC_PRIMALITY_BOUND**2)
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randrange(nt.DETERMINISTIC_PRIMALITY_BOUND, 10**40)
+        assert nt.is_prime(n) == sympy.isprime(n)
+        assert nt.is_prime(sympy.nextprime(n))
 
 
 def test_is_prime_beyond_seven_bases():

@@ -324,3 +324,134 @@ def test_duplicate_rows_change_no_snf_or_rank():
                 assert snf.smith_normal_form(doubled) == snf.smith_normal_form(rows)
                 for p in (2, 11, 83):
                     assert snf.rank_mod_p(doubled, p) == snf.rank_mod_p(rows, p)
+
+
+def random_peel_blocks(rng):
+    """Sparse rows of three blocks that exercise the bulk unit peel.
+
+    Returns (rows, band columns, band rows, rows holding a lone non-unit).
+    The band is a unit upper-triangular band: row i holds ±1 in band
+    column i and random entries in the next band columns and in torsion
+    columns, which other rows fill with non-unit entries.  Only band
+    column 0 starts with one row, so the band peels completely only by
+    cascading.  The second block holds a 2 or a -3 alone in its column
+    and must not be peeled.  The third is a random block.  Columns are
+    mapped injectively into 0..40, one row stores explicit zeros, and
+    the rows are shuffled.
+    """
+    free_cols = rng.sample(range(41), 41)
+    n, t = rng.randint(2, 6), rng.randint(1, 3)
+    band_cols = [free_cols.pop() for _ in range(n)]
+    tors_cols = [free_cols.pop() for _ in range(t)]
+    tagged = []
+    for i in range(n):
+        row = {band_cols[i]: rng.choice((1, -1))}
+        for c in band_cols[i + 1 : i + 3]:
+            row[c] = rng.choice((-3, -2, -1, 1, 2, 3))
+        for c in tors_cols:
+            if rng.random() < 0.7:
+                row[c] = rng.choice((-3, -2, -1, 1, 2, 3))
+        tagged.append((row, "band"))
+    for dense_row in random_matrix(rng, t + rng.randint(0, 1), t, density=0.9):
+        k = rng.choice((2, 3))
+        tagged.append(({c: k * v for c, v in zip(tors_cols, dense_row) if v}, None))
+    lone, mate = free_cols.pop(), free_cols.pop()
+    tagged.append(({lone: rng.choice((2, -3)), mate: rng.randint(1, 3)}, "lone"))
+    tagged.append(({mate: rng.randint(2, 5)}, None))
+    m, k = rng.randint(1, 4), rng.randint(1, 4)
+    cols = [free_cols.pop() for _ in range(k)]
+    for dense_row in random_matrix(rng, m, k):
+        tagged.append(({c: v for c, v in zip(cols, dense_row) if v}, None))
+    tagged[0][0][free_cols.pop()] = 0
+    tagged[-1][0][lone] = 0
+    rng.shuffle(tagged)
+    rows = [row for row, _ in tagged]
+    band_rows = {i for i, (_, tag) in enumerate(tagged) if tag == "band"}
+    lone_rows = {i for i, (_, tag) in enumerate(tagged) if tag == "lone"}
+    return rows, band_cols, band_rows, lone_rows
+
+
+def test_peel_removes_the_band_and_keeps_lone_non_units():
+    rng = random.Random(67)
+    for _ in range(60):
+        rows, band_cols, band_rows, lone_rows = random_peel_blocks(rng)
+        e = snf._Eliminator(rows)
+        kept = {rid: dict(row) for rid, row in e.rows.items() if rid not in band_rows}
+        before = len(e.rows)
+        e._peel()
+        assert not band_rows & set(e.rows)
+        assert lone_rows <= set(e.rows)
+        # one unit pivot per row taken, and the rows kept are unchanged
+        assert [d for _, d in e.diag] == [1] * (before - len(e.rows))
+        assert e.rows == {rid: row for rid, row in kept.items() if rid in e.rows}
+
+
+def test_peeled_blocks_match_dense_oracle():
+    rng = random.Random(71)
+    for _ in range(60):
+        rows, _, _, _ = random_peel_blocks(rng)
+        expected = snf.invariant_factors_dense(dense(rows))
+        assert snf.smith_normal_form(rows) == (expected, len(expected))
+
+
+def test_order_on_peeled_columns_matches_naive_search():
+    rng = random.Random(73)
+    checked = 0
+    for _ in range(60):
+        rows, band_cols, _, _ = random_peel_blocks(rng)
+        vec = {c: rng.randint(-3, 3) for c in rng.sample(band_cols, rng.randint(1, len(band_cols)))}
+        vec = {c: v for c, v in vec.items() if v} or {band_cols[0]: 1}
+        order = snf.order_in_quotient(rows, dict(vec))
+        naive = snf.naive_order_in_quotient(rows, 41, dict(vec), 60)
+        if order is not None and order <= 60:
+            assert naive == order
+            checked += order > 1
+        else:
+            assert naive is None
+    # the band feeds the torsion columns, so most vectors have order > 1
+    assert checked > 30
+
+
+def test_peel_takes_exactly_the_cascading_unit_rows():
+    mat = [
+        [1, 2, 0, 0, 0],  # col 0 holds only this row: peeled first
+        [0, -1, 3, 0, 0],  # col 1 is lone once row 0 is gone: cascade
+        [0, 0, 2, 4, 0],  # col 2 is then lone, but holds a 2: kept
+        [0, 0, 0, 1, 1],
+        [0, 0, 0, 1, -1],
+    ]
+    e = snf._Eliminator(sparse(mat), passenger={0: 1})
+    e._peel()
+    assert sorted(e.rows) == [2, 3, 4]
+    assert e.diag == [(0, 1), (1, 1)]
+    # column 1 -= 2 * column 0, then column 2 -= 3 * (-1) * column 1
+    assert e.passenger == {0: 1, 1: -2, 2: -6}
+    assert e.rows[2] == {2: 2, 3: 4}
+    assert snf.order_in_quotient(sparse(mat), {0: 1}) == snf.naive_order_in_quotient(sparse(mat), 5, {0: 1}, 60)
+
+
+def test_order_in_quotient_ignores_explicit_zeros_in_the_vector():
+    rows = sparse([[2, 0], [0, 3]])
+    assert snf.order_in_quotient(rows, {0: 1, 1: 0}) == 2
+    assert snf.order_in_quotient([{0: 2}], {0: 1, 1: 0}) == 2
+
+
+def test_coefficient_growth_stays_within_bound(monkeypatch):
+    # the row phase leaves remainders of at most |pivot| / 2, so an
+    # entry can only grow in _axpy
+    largest = 0
+    axpy = snf._Eliminator._axpy
+
+    def watched(self, dst, src, k):
+        nonlocal largest
+        axpy(self, dst, src, k)
+        row = self.rows.get(dst)
+        if row:
+            largest = max(largest, *map(abs, row.values()))
+
+    monkeypatch.setattr(snf._Eliminator, "_axpy", watched)
+    for rels, top, bits in ((relation_set_E(THEOREM1_PARAMS, 6), 6, 12), (relation_set_AX(THEOREM1_PARAMS), 4, 7)):
+        largest = 0
+        for n in range(top + 1):
+            snf.smith_normal_form(ideal_spanning_matrix(rels, n).rows)
+        assert 0 < largest.bit_length() <= bits
