@@ -14,7 +14,7 @@ Six integer parameters (a, b, c, d, a2, b2) drive everything:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import lru_cache
 
 from .freealg import (
@@ -212,6 +212,9 @@ def parse_relation_set(text: str) -> RelationSet:
     names = fields["generators"].split()
     num_gens = len(names)
     pvals = dict(kv.split("=") for kv in fields["params"].split())
+    keys = [f.name for f in dataclass_fields(Params)]
+    if set(pvals) != set(keys):
+        raise ValueError(f"params must set exactly {' '.join(keys)}")
     params = Params(**{k: int(v) for k, v in pvals.items()})
     convention = fields["convention"]
     tags = fields["tags"].split("; ") if fields["tags"] else []
@@ -220,5 +223,7 @@ def parse_relation_set(text: str) -> RelationSet:
     rels = []
     for tag, line in zip(tags, lines[1:]):
         elem = parse_element(line, num_gens)
+        if elem.is_zero():
+            raise ValueError(f"relation {tag} is zero")
         rels.append(Relation(tag, elem, elem.degree()))
     return RelationSet(num_gens, params, convention, tuple(rels))

@@ -25,25 +25,27 @@ larger size is left to the pivot loop.  In the loop, once the column
 phase has cleared the pivot column, the row phase's column operations
 likewise touch only the pivot row, so they are done in place on it.
 
-The eliminator can carry a "passenger" row that receives exactly the
+The eliminator carries a "passenger" row that receives exactly the
 column operations applied to the matrix, the peel's included, but never
 takes part in row operations or pivoting.  Expressing a vector in the
 final column basis this way is what turns Smith normal form into
-element orders in a quotient lattice.
+element orders in a quotient lattice; the Smith form itself passes an
+empty passenger.
 
-`smith_normal_form` first splits the rows into connected blocks (two
+The eliminator only ever sees one connected block of a matrix (two
 rows meet when they share a column; the degreewise relation matrices
-fall apart into hundreds of small blocks), eliminates each block on its
-own, and merges all the block diagonals into one divisibility chain
-over a coprime base: factor refinement by gcd turns the distinct
-diagonal values into pairwise coprime numbers, and each one's exponents
-are dealt to the invariant factors from the top.  The peel runs inside
-each block's eliminator.  A peel of the whole matrix before the split
-holds a row and column index of the whole matrix at once: tried that
-way, it raised the peak memory of the E degree 6 plus AX degree 4
-torsion reports from 24 to 33 MB and saved no time.
-`order_in_quotient` eliminates the whole matrix, since its passenger
-vector may touch any block.
+fall apart into hundreds of small blocks).  `smith_normal_form`
+eliminates every block and merges all the block diagonals into one
+divisibility chain over a coprime base: factor refinement by gcd turns
+the distinct diagonal values into pairwise coprime numbers, and each
+one's exponents are dealt to the invariant factors from the top.
+`order_in_quotient` eliminates only the blocks whose columns meet the
+vector, each carrying the part of the vector on its own columns, and
+takes the lcm of their orders.  The peel runs inside each block's
+eliminator.  A peel of the whole matrix before the split holds a row
+and column index of the whole matrix at once: tried that way, it raised
+the peak memory of the E degree 6 plus AX degree 4 torsion reports from
+24 to 33 MB and saved no time.
 
 Rank over a prime field F_p comes from one sparse Gaussian elimination
 mod p (`rank_mod_p`) with plain Python integers, for every matrix size
@@ -76,12 +78,12 @@ def _nearest_quotient(a: int, b: int) -> int:
 
 
 class _Eliminator:
-    """Unimodular diagonalization of a sparse integer matrix."""
+    """Unimodular diagonalization of one connected block of a sparse integer matrix."""
 
-    def __init__(self, rows, passenger=None):
+    def __init__(self, rows, passenger: SparseRow):
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        self.passenger = None if passenger is None else {c: v for c, v in passenger.items() if v}
+        self.passenger = {c: v for c, v in passenger.items() if v}
         for rid, row in enumerate(rows):
             r = {c: v for c, v in row.items() if v}
             if not r:
@@ -109,10 +111,8 @@ class _Eliminator:
             del self.rows[dst]
 
     def _passenger_axpy(self, dst_col: int, src_col: int, k: int) -> None:
-        """passenger[dst_col] += k * passenger[src_col], if there is one."""
+        """passenger[dst_col] += k * passenger[src_col]."""
         p = self.passenger
-        if p is None:
-            return
         pv = p.get(src_col)
         if pv:
             new = p.get(dst_col, 0) + k * pv
@@ -333,31 +333,46 @@ def smith_normal_form(rows) -> tuple[list[int], int]:
     `rows` is an iterable of sparse rows.  Each connected block is
     eliminated on its own.
     """
-    diag = [v for block in _components(rows) for _, v in _Eliminator(block).run()[0]]
+    diag = [v for block in _components(rows) for _, v in _Eliminator(block, {}).run()[0]]
     return _divisibility_chain(diag), len(diag)
 
 
 def order_in_quotient(rows, vector: SparseRow):
     """Order of a vector in Z^ncols modulo the row lattice of `rows`.
 
-    Carries the vector through the column operations of the elimination,
-    the peel's included: taking out a row with a lone unit u in column j
-    adds -v * u * c_j to the vector's coefficient c of every other
-    column holding an entry v of that row.  In the final basis the
-    lattice is spanned by d_j * e_j over the pivot columns, so the order
-    is lcm(d_j / gcd(d_j, c_j)), or None (infinite) when the vector has
-    support outside the pivot columns.  Zero entries of the vector are
-    ignored.
+    The lattice is the direct sum of its connected blocks, so the order
+    is the lcm of the orders of the vector's parts on the blocks it
+    meets; blocks it misses are not eliminated.  A block's columns are
+    those of its nonzero entries.  Each part is carried through the
+    column operations of its block's elimination, the peel's included:
+    taking out a row with a lone unit u in column j adds -v * u * c_j to
+    the part's coefficient c of every other column holding an entry v of
+    that row.  In the final basis the block's lattice is spanned by
+    d_j * e_j over its pivot columns, so the part's order is
+    lcm(d_j / gcd(d_j, c_j)).  The order is None (infinite) when a part
+    keeps support off its block's pivot columns, or when the vector is
+    nonzero on a column that no nonzero row touches.  Zero entries of the
+    vector are ignored.
     """
-    diag, passenger = _Eliminator(rows, passenger=vector).run()
-    pivot = dict(diag)
+    support = {c: v for c, v in vector.items() if v}
+    parts = []
+    for block in _components(rows):
+        cols = {c for row in block for c, v in row.items() if v}
+        part = {c: support.pop(c) for c in cols.intersection(support)}
+        if part:
+            parts.append((block, part))
+    if support:
+        return None
     order = 1
-    for c, coeff in passenger.items():
-        d = pivot.get(c)
-        if d is None:
-            return None
-        step = d // gcd(d, coeff)
-        order = order * step // gcd(order, step)
+    for block, part in parts:
+        diag, passenger = _Eliminator(block, part).run()
+        pivot = dict(diag)
+        for c, coeff in passenger.items():
+            d = pivot.get(c)
+            if d is None:
+                return None
+            step = d // gcd(d, coeff)
+            order = order * step // gcd(order, step)
     return order
 
 

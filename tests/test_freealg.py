@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptorsion.freealg import (
     Element,
@@ -138,6 +140,29 @@ def test_parse_round_trip():
         e = random_element(rng, num_gens=8, max_degree=3)
         assert parse_element(format_element(e)) == e
         assert format_element(parse_element(format_element(e))) == format_element(e)
+
+
+def elements(num_gens, max_degree=3):
+    """Hypothesis strategy: elements over the first num_gens generators."""
+    words = st.lists(st.integers(0, num_gens - 1), max_size=max_degree).map(tuple)
+    return st.dictionaries(words, st.integers(-(10**30), 10**30), max_size=6).map(Element)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from((6, 8)).flatmap(lambda n: st.tuples(st.just(n), elements(n))))
+def test_parse_inverts_format(case):
+    num_gens, e = case
+    assert parse_element(format_element(e), num_gens) == e
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(elements(6), elements(6), elements(6))
+def test_element_ring_laws(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+    assert (f + (-f)).is_zero()
 
 
 def test_parse_rejects_out_of_context_generator():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptorsion.freealg import (
+    CONVENTIONS,
     Element,
     GRADED,
     UNGRADED,
@@ -28,6 +31,7 @@ from looptorsion.presentation import (
     sigma,
     tau,
 )
+from looptorsion.verify import check_relations_file
 
 ZERO_PARAMS = Params(0, 0, 0, 0, 0, 0)
 
@@ -164,9 +168,33 @@ def test_relation_set_header_carries_metadata():
     assert "u1 u2 u3 u4 v w" in head and "a2=11" in head and "graded" in head and "tau_2" in head
 
 
-def test_parse_relation_set_rejects_corruption():
+def test_parse_relation_set_rejects_corruption(tmp_path):
     text = format_relation_set(relation_set_E(THEOREM1_PARAMS, 3, GRADED))
     with pytest.raises((ValueError, KeyError)):
         parse_relation_set(text.replace("# generators", "# gens"))
     with pytest.raises(ValueError):
         parse_relation_set(text + "1*u1.v\n")
+    lines = text.splitlines()
+    unknown_key = text.replace("b2=5", "z=5")
+    missing_key = text.replace(" b2=5", "")
+    zero_line = "\n".join([lines[0], "0", *lines[2:]]) + "\n"
+    for bad in (unknown_key, missing_key, zero_line):
+        with pytest.raises(ValueError):
+            parse_relation_set(bad)
+    path = tmp_path / "relations.txt"
+    path.write_text(zero_line, encoding="utf-8")
+    assert check_relations_file(str(path))["ok"] is False
+
+
+PARAMS = st.builds(Params, *[st.integers(-50, 50)] * 6)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(PARAMS, st.sampled_from(CONVENTIONS), st.sampled_from((2, 3, 4, "AX")))
+def test_relation_set_text_is_a_fixed_point(params, convention, maxdeg):
+    if maxdeg == "AX":
+        rels = relation_set_AX(params, convention)
+    else:
+        rels = relation_set_E(params, maxdeg, convention)
+    text = format_relation_set(rels)
+    assert format_relation_set(parse_relation_set(text)) == text

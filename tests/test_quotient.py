@@ -78,6 +78,11 @@ def test_element_orders_in_reference_quotient():
     assert element_order(rho(4, 3, GRADED), rels, 3) == 11
     assert element_order(tau(2, THEOREM1_PARAMS, GRADED), rels, 2) == 1
     assert element_order(rho(4, 2, GRADED), rels, 2) is None
+    # rho(4, m+1) has order exactly a_m = 2 + 3^m: 83 and 245 = 5 * 7^2;
+    # the degree-6 matrix is the one test_graded_piece_reference_degree_6 uses
+    rels = relation_set_E(THEOREM1_PARAMS, 6, GRADED)
+    assert element_order(rho(4, 5, GRADED), rels, 5) == 83
+    assert element_order(rho(4, 6, GRADED), rels, 6) == 245
 
 
 def test_element_order_scaling():

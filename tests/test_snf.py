@@ -108,6 +108,12 @@ def test_order_in_quotient_examples():
     assert snf.order_in_quotient(sparse([[2, 0, 0]]), {2: 1}) is None
     # an explicit zero in the vector is no support
     assert snf.order_in_quotient(sparse([[2, 0, 0]]), {0: 1, 2: 0}) == 2
+    # a vector over two blocks: the lcm of the orders of its parts
+    assert snf.order_in_quotient([{0: 2}, {3: 3}], {0: 1, 3: 1}) == 6
+    # an explicit zero in a row does not put its column into that row's block
+    assert snf.order_in_quotient([{0: 1, 5: 0}, {5: 2}], {5: 1}) == 2
+    # no rows at all: every nonzero vector has infinite order
+    assert snf.order_in_quotient([], {0: 1}) is None
 
 
 def test_order_in_quotient_agrees_with_naive_search():
@@ -159,7 +165,7 @@ class WatchedRow(dict):
 
 def eliminator_watching(mat, watched):
     """An eliminator over `mat` whose row `watched` records being scanned."""
-    e = snf._Eliminator(sparse(mat))
+    e = snf._Eliminator(sparse(mat), {})
     e.rows[watched] = WatchedRow(e.rows[watched])
     return e
 
@@ -253,10 +259,25 @@ def dense(rows, ncols=41):
 
 def test_snf_and_rank_per_block_match_dense_oracle():
     rng = random.Random(43)
+    vec_rng = random.Random(44)
     for _ in range(60):
         rows = random_block_diagonal(rng)
         expected = snf.invariant_factors_dense(dense(rows))
         assert snf.smith_normal_form(rows) == (expected, len(expected))
+        # vectors over a few covered columns, the same plus the column of
+        # the planted explicit zero, and a few columns of 0..40
+        covered = sorted({c for row in rows for c, v in row.items() if v})
+        planted = next(c for row in rows for c, v in row.items() if not v)
+        for k in range(3):
+            pool = covered if k < 2 else range(41)
+            support = vec_rng.sample(pool, min(len(pool), vec_rng.randint(1, 4)))
+            vec = {c: vec_rng.choice((-3, -2, -1, 1, 2, 3)) for c in support}
+            if k == 1:
+                vec[planted] = vec_rng.choice((-2, -1, 1, 2))
+            order = snf.order_in_quotient(rows, dict(vec))
+            # with max_multiple = order the naive search confirms both that
+            # order * vec lies in the lattice and that no smaller multiple does
+            assert snf.naive_order_in_quotient(rows, 41, vec, order or 60) == order
 
 
 def test_components_partition_the_nonzero_rows():
@@ -377,7 +398,7 @@ def test_peel_removes_the_band_and_keeps_lone_non_units():
     rng = random.Random(67)
     for _ in range(60):
         rows, band_cols, band_rows, lone_rows = random_peel_blocks(rng)
-        e = snf._Eliminator(rows)
+        e = snf._Eliminator(rows, {})
         kept = {rid: dict(row) for rid, row in e.rows.items() if rid not in band_rows}
         before = len(e.rows)
         e._peel()
