@@ -1,8 +1,9 @@
 """Command-line front end with deterministic text and JSON reports.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage
-errors.  Long computations write per-step progress to stderr only, so
-stdout stays machine-parsable.
+Each subcommand takes only the flags it reads; an unknown flag is a
+usage error.  Exit codes: 0 on success, 1 when a verification fails, 2
+on usage errors.  Long computations write per-step progress to stderr
+only, so stdout stays machine-parsable.
 """
 
 from __future__ import annotations
@@ -25,17 +26,6 @@ from .presentation import (
 from .quotient import element_order, torsion_primes_up_to
 from .series import dimension_series, format_series, roos_poincare, series_json
 from .verify import AX_DEFAULT_DEGREE, E_DEFAULT_DEGREE, run_verification
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
-    parser.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
-    parser.add_argument("--max-degree", type=int, default=None, help="truncation degree (default: 5 for E, 4 for AX)")
-    parser.add_argument("--algebra", choices=("E", "AX"), default="E", help="which presented algebra")
-    parser.add_argument("--field", default="Q", help="coefficient field: a prime or Q (default Q)")
-    parser.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
 def _params_from(args) -> Params:
@@ -140,9 +130,10 @@ def cmd_hilbert(args) -> int:
     payload = {"algebra": args.algebra, "field": str(field), "A": series_json(a_series)}
     lines = [f"A(t) [{args.algebra}, field {field}] = {format_series(a_series)}"]
     if args.algebra == "AX":
-        p_series = roos_poincare(a_series, args.g2, args.r4)
+        g2, r4 = rels.num_gens, len(rels.relations)  # one 2-cell per generator, one 4-cell per relation
+        p_series = roos_poincare(a_series, g2, r4)
         payload["P"] = series_json(p_series)
-        lines.append(f"P(t) [loop space, g2={args.g2}, r4={args.r4}] = {format_series(p_series)}")
+        lines.append(f"P(t) [loop space, g2={g2}, r4={r4}] = {format_series(p_series)}")
     if args.json:
         _emit_json(args, payload)
     else:
@@ -254,50 +245,57 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="looptorsion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
+    params.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--max-degree", type=int, help="truncation degree (default: 5 for E, 4 for AX)")
+    algebra.add_argument("--algebra", choices=("E", "AX"), default="E", help="which presented algebra")
+    algebra.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    p = sub.add_parser("recurrence", help="print the coefficient table (m, a_m, b_m)")
-    _add_common(p)
+    p = sub.add_parser("recurrence", parents=[params, report], help="print the coefficient table (m, a_m, b_m)")
     p.add_argument("M", type=int, help="largest index m")
     p.set_defaults(func=cmd_recurrence)
 
-    p = sub.add_parser("torsion-primes", help="graded pieces, divisors and torsion primes")
-    _add_common(p)
+    p = sub.add_parser(
+        "torsion-primes", parents=[params, algebra, report], help="graded pieces, divisors and torsion primes"
+    )
     p.set_defaults(func=cmd_torsion_primes)
 
-    p = sub.add_parser("classify", help="torsion verdict for one prime")
-    _add_common(p)
+    p = sub.add_parser("classify", parents=[params, report], help="torsion verdict for one prime")
     p.add_argument("p", type=int, help="the prime to classify")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("hilbert", help="dimension series and loop-space Poincare series")
-    _add_common(p)
-    p.add_argument("--g2", type=int, default=8, help="degree-2 wedge summand count (default 8)")
-    p.add_argument("--r4", type=int, default=13, help="degree-4 attaching cell count (default 13)")
+    p = sub.add_parser(
+        "hilbert", parents=[params, algebra, report], help="dimension series and loop-space Poincare series"
+    )
+    p.add_argument("--field", default="Q", help="coefficient field: a prime or Q (default Q)")
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("order", help="order of an element in a graded quotient")
-    _add_common(p)
+    p = sub.add_parser("order", parents=[params, algebra, report], help="order of an element in a graded quotient")
     p.add_argument("--rho", metavar="I,M", help="use the element rho(I,M)")
     p.add_argument("--element", metavar="TEXT", help="element in text format")
     p.set_defaults(func=cmd_order)
 
-    p = sub.add_parser("census", help="per-residue-class torsion census of primes")
-    _add_common(p)
+    p = sub.add_parser("census", parents=[params, report], help="per-residue-class torsion census of primes")
     p.add_argument("bound", type=int, help="classify all primes below this bound")
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("theorem2", help="classify primes for a product-family instance")
-    _add_common(p)
+    p = sub.add_parser("theorem2", parents=[report], help="classify primes for a product-family instance")
     p.add_argument("primes", help="comma-separated excluded primes")
     p.add_argument("--bound", type=int, default=200, help="classify primes below this bound")
     p.set_defaults(func=cmd_theorem2)
 
-    p = sub.add_parser("export-relations", help="write a relation set in the text format")
-    _add_common(p)
+    p = sub.add_parser(
+        "export-relations", parents=[params, algebra, out], help="write a relation set in the text format"
+    )
     p.set_defaults(func=cmd_export_relations)
 
-    p = sub.add_parser("verify", help="run the consolidated consistency suite")
-    _add_common(p)
+    p = sub.add_parser("verify", parents=[report], help="run the consolidated consistency suite")
     p.add_argument("--relations", metavar="PATH", help="also validate an exported relation file")
     p.set_defaults(func=cmd_verify)
 

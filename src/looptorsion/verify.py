@@ -265,13 +265,13 @@ def check_relations_file(path: str) -> dict:
         text = fh.read()
     try:
         parsed = parse_relation_set(text)
+        if parsed.num_gens == 6:
+            built = relation_set_E(parsed.params, parsed.max_degree(), parsed.convention)
+        else:
+            built = relation_set_AX(parsed.params, parsed.convention)
+        ok = format_relation_set(built) == format_relation_set(parsed)
     except (ValueError, KeyError) as exc:
         return {"name": "relations-file", "ok": False, "error": str(exc)}
-    if parsed.num_gens == 6:
-        built = relation_set_E(parsed.params, parsed.max_degree(), parsed.convention)
-    else:
-        built = relation_set_AX(parsed.params, parsed.convention)
-    ok = format_relation_set(built) == format_relation_set(parsed)
     return {"name": "relations-file", "ok": ok}
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from looptorsion.cli import main
+from looptorsion.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
@@ -201,6 +202,65 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 2
+    # one flag per subcommand that it does not read: rejected, not ignored
+    dropped = [
+        ["recurrence", "5", "--algebra", "AX"],
+        ["torsion-primes", "--field", "7"],
+        ["classify", "41", "--max-degree", "3"],
+        ["hilbert", "--g2", "5"],
+        ["hilbert", "--algebra", "AX", "--r4", "12"],
+        ["order", "--rho", "4,3", "--field", "7"],
+        ["census", "100", "--convention", "ungraded"],
+        ["theorem2", "7", "--params", "1,2,3,4,5,6"],
+        ["export-relations", "--json"],
+        ["verify", "--params", "1,2,3,4,5,6"],
+    ]
+    for argv in dropped:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+PARAMS_FLAGS = {"--params", "--theorem2"}
+ALGEBRA_FLAGS = {"--max-degree", "--algebra", "--convention"}
+REPORT_FLAGS = {"--json", "--out"}
+CLI_SURFACE = {
+    "recurrence": PARAMS_FLAGS | REPORT_FLAGS,
+    "torsion-primes": PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS,
+    "classify": PARAMS_FLAGS | REPORT_FLAGS,
+    "hilbert": PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--field"},
+    "order": PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--rho", "--element"},
+    "census": PARAMS_FLAGS | REPORT_FLAGS,
+    "theorem2": REPORT_FLAGS | {"--bound"},
+    "export-relations": PARAMS_FLAGS | ALGEBRA_FLAGS | {"--out"},
+    "verify": REPORT_FLAGS | {"--relations"},
+}
+JSON_SCHEMAS = {
+    "recurrence": "recurrence.schema.json",
+    "torsion-primes": "torsion_report.schema.json",
+    "classify": "classification.schema.json",
+    "hilbert": "hilbert.schema.json",
+    "order": "order.schema.json",
+    "census": "census.schema.json",
+    "theorem2": "theorem2.schema.json",
+    "verify": "verify_report.schema.json",
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    shared = PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--field"}
+    assert sum(len(flags & shared) for flags in surface.values()) == 44
+    # every --json payload has exactly one schema, and every schema has a payload
+    assert set(JSON_SCHEMAS) == {name for name, flags in surface.items() if "--json" in flags}
+    assert sorted(JSON_SCHEMAS.values()) == sorted(path.name for path in SCHEMA_DIR.glob("*.schema.json"))
 
 
 def test_export_relations_ax(capsys):

@@ -181,9 +181,15 @@ def test_parse_relation_set_rejects_corruption(tmp_path):
     for bad in (unknown_key, missing_key, zero_line):
         with pytest.raises(ValueError):
             parse_relation_set(bad)
+    # parseable files that cannot be rebuilt: an unknown convention, and
+    # an E set whose only relation has degree 1
+    unknown_convention = text.replace("convention: graded", "convention: odd")
+    head = lines[0][: lines[0].index("tags: ") + len("tags: ")]
+    degree_one = f"{head}u1\n1*u1\n"
     path = tmp_path / "relations.txt"
-    path.write_text(zero_line, encoding="utf-8")
-    assert check_relations_file(str(path))["ok"] is False
+    for bad in (zero_line, unknown_convention, degree_one):
+        path.write_text(bad, encoding="utf-8")
+        assert check_relations_file(str(path))["ok"] is False
 
 
 PARAMS = st.builds(Params, *[st.integers(-50, 50)] * 6)

@@ -4,6 +4,10 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from looptorsion import snf
 from looptorsion.freealg import CONVENTIONS
@@ -43,6 +47,23 @@ def test_snf_matches_dense_oracle_on_random_matrices():
         mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), lo=-9, hi=9)
         invs, _ = snf.smith_normal_form(sparse(mat))
         assert invs == snf.invariant_factors_dense(mat)
+
+
+@st.composite
+def small_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    zero_rows = draw(st.sets(st.integers(0, m - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else draw(st.integers(-9, 9)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_matrices())
+def test_snf_matches_dense_and_sympy_oracles(mat):
+    invs, rank = snf.smith_normal_form(sparse(mat))
+    assert invs == snf.invariant_factors_dense(mat)
+    assert invs == [d for d in invariant_factors(Matrix(mat), domain=ZZ) if d]
+    assert rank == len(invs)
 
 
 def test_snf_known_diagonalization():
