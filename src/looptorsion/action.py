@@ -60,9 +60,6 @@ class DerivationSpec:
         self.convention = convention
         self.images = dict(images) if images is not None else _generator_images(params, convention)
 
-    def image(self, x: int, gen: int) -> Element:
-        return self.images[(x, gen)]
-
     def replaced(self, x: int, gen: int, element: Element) -> "DerivationSpec":
         """Copy of this spec with one generator image overridden."""
         images = dict(self.images)
@@ -115,7 +112,7 @@ def act(x, f: Element, spec: DerivationSpec) -> Element:
     return Element(out)
 
 
-def check_preserves_ideal(spec: DerivationSpec, rels: RelationSet, maxdeg: int | None = None) -> dict:
+def check_preserves_ideal(spec: DerivationSpec, rels: RelationSet, maxdeg: int) -> dict:
     """Whether x1 and x2 map each relation into the ideal, integrally.
 
     For every relation s of degree <= maxdeg - 1 and each derivation,
@@ -124,8 +121,6 @@ def check_preserves_ideal(spec: DerivationSpec, rels: RelationSet, maxdeg: int |
     integers, not just the rationals, is what makes the induced action
     on the quotient well defined over Z.
     """
-    if maxdeg is None:
-        maxdeg = rels.max_degree()
     if maxdeg < 2:
         raise ValueError("maxdeg must be at least 2")
     checks = []
@@ -180,20 +175,21 @@ def semi_tensor_dimension_check(params: Params, field, max_degree: int, conventi
     return {"convention": convention, "field": str(field), "degrees": degrees, "ok": ok}
 
 
-def select_convention(params: Params = THEOREM1_PARAMS, max_degree: int = 4, fields=("Q", 5, 11, 13)) -> dict:
+def select_convention() -> dict:
     """Run the consistency suite under both conventions and pick a default.
 
-    A convention passes when the derivations preserve the ideal for all
-    relations of degree < max_degree and the twisted-tensor dimension and
-    divisor identities hold over every requested field up to max_degree.
-    The graded convention is preferred as the default when both pass.
+    A convention passes when, for the reference parameters, the
+    derivations preserve the ideal for all relations of degree < 4 and
+    the twisted-tensor dimension and divisor identities hold over Q,
+    F_5, F_11 and F_13 up to degree 4.  The graded convention is
+    preferred as the default when both pass.
     """
     entries = []
     passing = []
     for convention in CONVENTIONS:
-        rels_e = relation_set_E(params, max_degree, convention)
-        preserves = check_preserves_ideal(DerivationSpec(params, convention), rels_e, max_degree)
-        semi = [semi_tensor_dimension_check(params, f, max_degree, convention) for f in fields]
+        rels_e = relation_set_E(THEOREM1_PARAMS, 4, convention)
+        preserves = check_preserves_ideal(DerivationSpec(THEOREM1_PARAMS, convention), rels_e, 4)
+        semi = [semi_tensor_dimension_check(THEOREM1_PARAMS, f, 4, convention) for f in ("Q", 5, 11, 13)]
         ok = preserves["ok"] and all(s["ok"] for s in semi)
         if ok:
             passing.append(convention)

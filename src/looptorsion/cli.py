@@ -158,8 +158,7 @@ def cmd_order(args) -> int:
     if args.algebra == "AX":
         rels = relation_set_AX(params, args.convention)
     else:
-        maxdeg = degree if args.max_degree is None else args.max_degree
-        rels = relation_set_E(params, max(maxdeg, 2), args.convention)
+        rels = relation_set_E(params, max(degree, 2), args.convention)
     order = element_order(elem, rels, degree)
     rendered = "infinite" if order is None else str(order)
     if args.json:
@@ -215,6 +214,8 @@ def cmd_theorem2(args) -> int:
 
 def cmd_export_relations(args) -> int:
     params = _params_from(args)
+    if args.algebra == "AX" and args.max_degree is not None:
+        raise ValueError("--max-degree does not apply to --algebra AX, whose 13 relations are all quadratic")
     rels, _ = _relations(args, params)
     _emit(args, format_relation_set(rels))
     return 0
@@ -248,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     params = argparse.ArgumentParser(add_help=False)
     params.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
     params.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--max-degree", type=int, help="truncation degree (default: 5 for E, 4 for AX)")
     algebra = argparse.ArgumentParser(add_help=False)
-    algebra.add_argument("--max-degree", type=int, help="truncation degree (default: 5 for E, 4 for AX)")
     algebra.add_argument("--algebra", choices=("E", "AX"), default="E", help="which presented algebra")
     algebra.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
     out = argparse.ArgumentParser(add_help=False)
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser(
-        "torsion-primes", parents=[params, algebra, report], help="graded pieces, divisors and torsion primes"
+        "torsion-primes", parents=[params, degree, algebra, report], help="graded pieces, divisors and torsion primes"
     )
     p.set_defaults(func=cmd_torsion_primes)
 
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "hilbert", parents=[params, algebra, report], help="dimension series and loop-space Poincare series"
+        "hilbert", parents=[params, degree, algebra, report], help="dimension series and loop-space Poincare series"
     )
     p.add_argument("--field", default="Q", help="coefficient field: a prime or Q (default Q)")
     p.set_defaults(func=cmd_hilbert)
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theorem2)
 
     p = sub.add_parser(
-        "export-relations", parents=[params, algebra, out], help="write a relation set in the text format"
+        "export-relations", parents=[params, degree, algebra, out], help="write a relation set in the text format"
     )
     p.set_defaults(func=cmd_export_relations)
 

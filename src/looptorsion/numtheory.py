@@ -28,6 +28,7 @@ class 17).
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
@@ -215,10 +216,16 @@ def _split(n: int) -> list[int]:
 
 
 def _pollard_rho(n: int) -> int:
+    """A proper divisor of the composite n.
+
+    An attempt that closes its cycle modulo every prime factor at once
+    (d == n) is retried from the fresh start c + 1 with constant c + 1,
+    so the search has no give-up path.
+    """
     if n % 2 == 0:
         return 2
-    for c in range(1, 100):
-        x = y = 2
+    for c in itertools.count(1):
+        x = y = c + 1
         d = 1
         while d == 1:
             x = (x * x + c) % n
@@ -227,7 +234,6 @@ def _pollard_rho(n: int) -> int:
             d = gcd(abs(x - y), n)
         if d != n:
             return d
-    raise RuntimeError(f"failed to factor {n}")
 
 
 def legendre(a: int, p: int) -> int:

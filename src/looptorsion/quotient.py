@@ -160,7 +160,7 @@ class TorsionReport:
         }
 
 
-def torsion_primes_up_to(rels: RelationSet, max_degree: int, seq=None) -> TorsionReport:
+def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
     """Compare computed torsion primes against the recurrence prediction.
 
     Computed: prime factors of every elementary divisor in degrees up to
@@ -170,8 +170,6 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int, seq=None) -> Torsio
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    if seq is None:
-        seq = coeff_sequence(rels.params, max(max_degree - 1, 2))
     pieces = [graded_piece(rels, n) for n in range(max_degree + 1)]
     computed: set[int] = set()
     for piece in pieces:
@@ -179,7 +177,7 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int, seq=None) -> Torsio
             computed.update(numtheory.factorize(d))
     predicted: set[int] = set()
     warnings = list(rels.warnings)
-    for m, am, _ in seq:
+    for m, am, _ in coeff_sequence(rels.params, max(max_degree - 1, 2)):
         if not 2 <= m <= max_degree - 1:
             continue
         if am == 0:

@@ -40,14 +40,6 @@ class PowerSeries:
     def __getitem__(self, n: int) -> Fraction:
         return self.coefficients[n]
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation, other.truncation)
-        return PowerSeries(tuple(self[k] + other[k] for k in range(n + 1)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation, other.truncation)
-        return PowerSeries(tuple(self[k] - other[k] for k in range(n + 1)))
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.truncation, other.truncation)
         out = [Fraction(0)] * (n + 1)
@@ -64,15 +56,15 @@ class PowerSeries:
         return all(c.denominator == 1 for c in self.coefficients)
 
 
-def invert_series(s: PowerSeries, truncation: int | None = None) -> PowerSeries:
+def invert_series(s: PowerSeries) -> PowerSeries:
     """Multiplicative inverse up to the truncation; needs constant term 1."""
     if s[0] != 1:
         raise ValueError("series inversion requires constant term 1")
-    n = s.truncation if truncation is None else truncation
+    n = s.truncation
     out = [Fraction(1)] + [Fraction(0)] * n
     for k in range(1, n + 1):
         acc = Fraction(0)
-        for i in range(1, min(k, s.truncation) + 1):
+        for i in range(1, k + 1):
             if s[i]:
                 acc += s[i] * out[k - i]
         out[k] = -acc
@@ -90,15 +82,14 @@ def dimension_series(rels: RelationSet, field, truncation: int) -> PowerSeries:
     return PowerSeries.from_coeffs([dimension(rels, n, field) for n in range(truncation + 1)])
 
 
-def roos_poincare(a_series: PowerSeries, g2: int = 8, r4: int = 13, truncation: int | None = None) -> PowerSeries:
+def roos_poincare(a_series: PowerSeries, g2: int = 8, r4: int = 13) -> PowerSeries:
     """Loop-space Poincare series from the algebra dimension series.
 
     Inverts (1+t) * A(t)^-1 - t + g2*t^2 - r4*t^3; rejects a right-hand
     side whose constant term is not 1 (equivalently A(0) != 1).
     """
-    n = a_series.truncation if truncation is None else truncation
-    a_inv = invert_series(a_series, n)
-    rhs = list(a_inv.coefficients)
+    n = a_series.truncation
+    rhs = list(invert_series(a_series).coefficients)
     for k in range(n, 0, -1):  # multiply by (1 + t) in place
         rhs[k] = rhs[k] + rhs[k - 1]
     if n >= 1:
@@ -109,7 +100,7 @@ def roos_poincare(a_series: PowerSeries, g2: int = 8, r4: int = 13, truncation: 
         rhs[3] -= r4
     if rhs[0] != 1:
         raise ValueError("transform is only invertible when the constant term is 1")
-    return invert_series(PowerSeries(tuple(rhs)), n)
+    return invert_series(PowerSeries(tuple(rhs)))
 
 
 def format_series(s: PowerSeries) -> str:

@@ -45,11 +45,6 @@ E_DEFAULT_DEGREE = 5
 AX_DEFAULT_DEGREE = 4
 
 
-def _progress(message: str, quiet: bool) -> None:
-    if not quiet:
-        print(message, file=sys.stderr, flush=True)
-
-
 def check_recurrence_closed_forms() -> dict:
     """a_m = 2 + 3^m (reference family) and a_m = 1 + a(m-2) (product family)."""
     ok = True
@@ -79,7 +74,7 @@ def check_presentation_consistency() -> dict:
     return {"name": "presentation-consistency", "ok": ok}
 
 
-def check_snf_oracles(quiet: bool = True) -> dict:
+def check_snf_oracles() -> dict:
     """Sparse engine vs. the naive dense Smith form on every degree <= 3 matrix."""
     ok = True
     fixed = [
@@ -98,7 +93,6 @@ def check_snf_oracles(quiet: bool = True) -> dict:
         for rels, degrees in ((rels_e, (2, 3)), (rels_ax, (2, 3))):
             for n in degrees:
                 matrix = ideal_spanning_matrix(rels, n)
-                _progress(f"  snf-oracle: {len(matrix.rows)}x{matrix.ncols} degree {n}", quiet)
                 invs, _ = snf.smith_normal_form(matrix.rows)
                 dense = [[row.get(c, 0) for c in range(matrix.ncols)] for row in matrix.rows]
                 ok = ok and snf.invariant_factors_dense(dense) == invs
@@ -120,7 +114,7 @@ def check_element_orders() -> dict:
     return {"name": "element-orders", "ok": ok}
 
 
-def check_torsion_divisors(quiet: bool = True) -> dict:
+def check_torsion_divisors() -> dict:
     """Every divisor prime in degrees <= 5 divides some a_m, m <= 4; no 13-torsion."""
     ok = True
     allowed = set()
@@ -129,7 +123,6 @@ def check_torsion_divisors(quiet: bool = True) -> dict:
     for conv in CONVENTIONS:
         rels = relation_set_E(THEOREM1_PARAMS, E_DEFAULT_DEGREE, conv)
         for n in range(E_DEFAULT_DEGREE + 1):
-            _progress(f"  torsion-divisors: degree {n} ({conv})", quiet)
             piece = graded_piece(rels, n)
             for d in piece.divisors:
                 ok = ok and set(numtheory.factorize(d)) <= allowed
@@ -179,22 +172,20 @@ def check_roos_transform() -> dict:
     return {"name": "roos-transform", "ok": ok}
 
 
-def check_residue_rule_soundness(bound: int = 100_000, quiet: bool = True) -> dict:
-    """Classes 13 and 23 mod 24: exhaustive walks find no witness below bound."""
-    _progress(f"  residue-rule: walking classes 13, 23 below {bound}", quiet)
+def check_residue_rule_soundness() -> dict:
+    """Classes 13 and 23 mod 24: exhaustive walks find no witness below 10^5."""
     ok = True
-    for p in numtheory.sieve_primes(bound):
+    for p in numtheory.sieve_primes(100_000):
         if p % 24 in (13, 23):
             ok = ok and numtheory.power_witness(p) is None
     return {"name": "residue-rule-soundness", "ok": ok}
 
 
-def check_recurrence_power_agreement(bound: int = 10_000, quiet: bool = True) -> dict:
+def check_recurrence_power_agreement() -> dict:
     """Recurrence walk, power walk and the order-test classifier agree
-    prime by prime, witness by witness."""
-    _progress(f"  agreement sweep below {bound}", quiet)
+    prime by prime, witness by witness, below 10^4."""
     ok = True
-    for q in numtheory.sieve_primes(bound):
+    for q in numtheory.sieve_primes(10_000):
         if q in (2, 3):
             ok = ok and numtheory.divides_some_am(THEOREM1_PARAMS, q) is None
             continue
@@ -207,16 +198,15 @@ def check_recurrence_power_agreement(bound: int = 10_000, quiet: bool = True) ->
     return {"name": "recurrence-power-agreement", "ok": ok}
 
 
-def check_census(bound: int = 100_000, quiet: bool = True) -> dict:
-    """Census bookkeeping at the default bound.
+def check_census() -> dict:
+    """Census bookkeeping below 10^5.
 
     Verifies the sound facts: every invertible class holds at least 1000
     primes, classes 13 and 23 show zero torsion, and the documented
     smallest counterexamples to the claimed positive rule (41 and 103)
     are measured as such.  Measured per-class rates ride along as data.
     """
-    _progress(f"  census below {bound}", quiet)
-    rows = numtheory.census(bound, mode="theorem1")
+    rows = numtheory.census(100_000, mode="theorem1")
     by_class = {row.residue: row for row in rows}
     ok = set(by_class) == {1, 5, 7, 11, 13, 17, 19, 23}
     for row in rows:
@@ -229,9 +219,8 @@ def check_census(bound: int = 100_000, quiet: bool = True) -> dict:
     return {"name": "census-dirichlet", "ok": ok, "measured_torsion_rates": rates}
 
 
-def check_theorem2_instances(quiet: bool = True) -> dict:
+def check_theorem2_instances() -> dict:
     """Excluded-prime families: torsion iff the prime is outside the set."""
-    _progress("  theorem2 instances", quiet)
     ok = True
     params = numtheory.theorem2_params([2, 3, 5])
     for q in numtheory.sieve_primes(1000):
@@ -243,12 +232,11 @@ def check_theorem2_instances(quiet: bool = True) -> dict:
     return {"name": "theorem2-instances", "ok": ok}
 
 
-def check_convention_comparison(quiet: bool = True) -> dict:
+def check_convention_comparison() -> dict:
     """Do the two sign conventions produce the same graded groups?
 
     Not assumed anywhere; measured on every computed degree and reported.
     """
-    _progress("  comparing conventions degreewise", quiet)
     identical = True
     for n in range(E_DEFAULT_DEGREE + 1):
         pieces = [graded_piece(relation_set_E(THEOREM1_PARAMS, E_DEFAULT_DEGREE, conv), n) for conv in CONVENTIONS]
@@ -275,37 +263,49 @@ def check_relations_file(path: str) -> dict:
     return {"name": "relations-file", "ok": ok}
 
 
-def run_verification(relations_path: str | None = None, census_bound: int = 100_000, quiet: bool = False) -> dict:
-    """Run every check; returns {"checks", "convention_selection", "ok"}."""
-    checks = []
-    checks.append(check_recurrence_closed_forms())
-    checks.append(check_presentation_consistency())
-    _progress("snf oracle agreement (dense second opinion)", quiet)
-    checks.append(check_snf_oracles(quiet))
-    checks.append(check_element_orders())
-    _progress("torsion divisors through degree 5", quiet)
-    checks.append(check_torsion_divisors(quiet))
-    checks.append(check_torsion_report())
-    checks.append(check_action_preservation())
-    _progress("convention selection protocol", quiet)
-    selection = select_convention()
-    checks.append(
-        {
+def run_verification(relations_path: str | None = None, quiet: bool = False) -> dict:
+    """Run every check; returns {"checks", "convention_selection", "ok"}.
+
+    Unless quiet, one progress line goes to stderr before each check;
+    the checks themselves print nothing.
+    """
+    selection = {}
+
+    def check_convention_selection() -> dict:
+        selection.update(select_convention())
+        return {
             "name": "convention-selection",
             "ok": selection["selected_default"] is not None,
             "passing": selection["passing"],
             "selected_default": selection["selected_default"],
         }
-    )
-    checks.append(check_roos_transform())
-    _progress("number-theory sweeps", quiet)
-    checks.append(check_residue_rule_soundness(quiet=quiet))
-    checks.append(check_recurrence_power_agreement(quiet=quiet))
-    checks.append(check_census(census_bound, quiet=quiet))
-    checks.append(check_theorem2_instances(quiet))
-    checks.append(check_convention_comparison(quiet))
+
+    def check_given_relations_file() -> dict:
+        return check_relations_file(relations_path)
+
+    steps = [
+        check_recurrence_closed_forms,
+        check_presentation_consistency,
+        check_snf_oracles,
+        check_element_orders,
+        check_torsion_divisors,
+        check_torsion_report,
+        check_action_preservation,
+        check_convention_selection,
+        check_roos_transform,
+        check_residue_rule_soundness,
+        check_recurrence_power_agreement,
+        check_census,
+        check_theorem2_instances,
+        check_convention_comparison,
+    ]
     if relations_path is not None:
-        checks.append(check_relations_file(relations_path))
+        steps.append(check_given_relations_file)
+    checks = []
+    for step in steps:
+        if not quiet:
+            print(step.__name__.removeprefix("check_").replace("_", " "), file=sys.stderr, flush=True)
+        checks.append(step())
     return {
         "checks": checks,
         "convention_selection": selection,

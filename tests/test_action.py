@@ -136,7 +136,7 @@ def test_semi_tensor_dimensions_degree_2():
 
 
 def test_select_convention_small():
-    report = select_convention(THEOREM1_PARAMS, max_degree=2, fields=("Q",))
+    report = select_convention()
     assert set(report["passing"]) == {"graded", "ungraded"}
     assert report["selected_default"] == "graded"
 

@@ -210,6 +210,7 @@ def test_bad_flags_exit_2(capsys):
         ["hilbert", "--g2", "5"],
         ["hilbert", "--algebra", "AX", "--r4", "12"],
         ["order", "--rho", "4,3", "--field", "7"],
+        ["order", "--rho", "4,3", "--max-degree", "3"],
         ["census", "100", "--convention", "ungraded"],
         ["theorem2", "7", "--params", "1,2,3,4,5,6"],
         ["export-relations", "--json"],
@@ -220,20 +221,24 @@ def test_bad_flags_exit_2(capsys):
             main(argv)
         assert err.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err, argv
+    # AX has only quadratic relations, so a truncation degree is refused, not ignored
+    assert main(["export-relations", "--algebra", "AX", "--max-degree", "2"]) == 2
+    assert "--max-degree does not apply to --algebra AX" in capsys.readouterr().err
 
 
 PARAMS_FLAGS = {"--params", "--theorem2"}
-ALGEBRA_FLAGS = {"--max-degree", "--algebra", "--convention"}
+DEGREE_FLAGS = {"--max-degree"}
+ALGEBRA_FLAGS = {"--algebra", "--convention"}
 REPORT_FLAGS = {"--json", "--out"}
 CLI_SURFACE = {
     "recurrence": PARAMS_FLAGS | REPORT_FLAGS,
-    "torsion-primes": PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS,
+    "torsion-primes": PARAMS_FLAGS | DEGREE_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS,
     "classify": PARAMS_FLAGS | REPORT_FLAGS,
-    "hilbert": PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--field"},
+    "hilbert": PARAMS_FLAGS | DEGREE_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--field"},
     "order": PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--rho", "--element"},
     "census": PARAMS_FLAGS | REPORT_FLAGS,
     "theorem2": REPORT_FLAGS | {"--bound"},
-    "export-relations": PARAMS_FLAGS | ALGEBRA_FLAGS | {"--out"},
+    "export-relations": PARAMS_FLAGS | DEGREE_FLAGS | ALGEBRA_FLAGS | {"--out"},
     "verify": REPORT_FLAGS | {"--relations"},
 }
 JSON_SCHEMAS = {
@@ -256,8 +261,8 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
         for name, sub in subparsers.choices.items()
     }
     assert surface == CLI_SURFACE
-    shared = PARAMS_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--field"}
-    assert sum(len(flags & shared) for flags in surface.values()) == 44
+    shared = PARAMS_FLAGS | DEGREE_FLAGS | ALGEBRA_FLAGS | REPORT_FLAGS | {"--field"}
+    assert sum(len(flags & shared) for flags in surface.values()) == 43
     # every --json payload has exactly one schema, and every schema has a payload
     assert set(JSON_SCHEMAS) == {name for name, flags in surface.items() if "--json" in flags}
     assert sorted(JSON_SCHEMAS.values()) == sorted(path.name for path in SCHEMA_DIR.glob("*.schema.json"))

@@ -49,6 +49,24 @@ def test_factorize_beyond_seven_bases():
     assert nt.factorize(n) == sympy.factorint(n)
 
 
+def test_factorize_survives_failed_rho_attempts(monkeypatch):
+    # both factors lie above the trial-division primes, so Pollard rho runs;
+    # the first 150 attempts are forced to end with gcd = n, which is more
+    # than the 99 constants an earlier version tried before giving up
+    n = 10007 * 10009
+    forced = iter(range(150))
+    real_gcd = nt.gcd
+
+    def failing_gcd(a, b):
+        if b == n and next(forced, None) is not None:
+            return n
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(nt, "gcd", failing_gcd)
+    assert nt.factorize(n) == {10007: 1, 10009: 1}
+    assert next(forced, None) is None
+
+
 def test_factorize():
     assert nt.factorize(360) == {2: 3, 3: 2, 5: 1}
     assert nt.factorize(-26477) == {11: 1, 29: 1, 83: 1}
