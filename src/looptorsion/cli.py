@@ -96,7 +96,9 @@ def cmd_torsion_primes(args) -> int:
 
 def cmd_classify(args) -> int:
     params = _params_from(args)
-    if params == THEOREM1_PARAMS:
+    # the residue rule and the power witness need p > 3; the recurrence
+    # walk decides 2 and 3 as the general census does
+    if params == THEOREM1_PARAMS and args.p not in (2, 3):
         cls = numtheory.classify_prime_theorem1(args.p)
         expectation = numtheory.RULE_EXPECTATION.get(cls.mod24)
     else:
@@ -216,6 +218,8 @@ def cmd_export_relations(args) -> int:
     params = _params_from(args)
     if args.algebra == "AX" and args.max_degree is not None:
         raise ValueError("--max-degree does not apply to --algebra AX, whose 13 relations are all quadratic")
+    if args.max_degree is not None and args.max_degree < 2:
+        raise ValueError("max_degree must be at least 2")
     rels, _ = _relations(args, params)
     _emit(args, format_relation_set(rels))
     return 0

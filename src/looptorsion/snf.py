@@ -25,27 +25,27 @@ larger size is left to the pivot loop.  In the loop, once the column
 phase has cleared the pivot column, the row phase's column operations
 likewise touch only the pivot row, so they are done in place on it.
 
-The eliminator carries a "passenger" row that receives exactly the
-column operations applied to the matrix, the peel's included, but never
-takes part in row operations or pivoting.  Expressing a vector in the
-final column basis this way is what turns Smith normal form into
-element orders in a quotient lattice; the Smith form itself passes an
-empty passenger.
-
 The eliminator only ever sees one connected block of a matrix (two
 rows meet when they share a column; the degreewise relation matrices
 fall apart into hundreds of small blocks).  `smith_normal_form`
 eliminates every block and merges all the block diagonals into one
 divisibility chain over a coprime base: factor refinement by gcd turns
 the distinct diagonal values into pairwise coprime numbers, and each
-one's exponents are dealt to the invariant factors from the top.
-`order_in_quotient` eliminates only the blocks whose columns meet the
-vector, each carrying the part of the vector on its own columns, and
-takes the lcm of their orders.  The peel runs inside each block's
-eliminator.  A peel of the whole matrix before the split holds a row
-and column index of the whole matrix at once: tried that way, it raised
-the peak memory of the E degree 6 plus AX degree 4 torsion reports from
-24 to 33 MB and saved no time.
+one's exponents are dealt to the invariant factors from the top.  The
+peel runs inside each block's eliminator.  A peel of the whole matrix
+before the split holds a row and column index of the whole matrix at
+once: tried that way, it raised the peak memory of the E degree 6 plus
+AX degree 4 torsion reports from 24 to 33 MB and saved no time.
+
+Element orders come from the Smith form alone.  The order of a vector v
+modulo a lattice L is the index of L in M = L + Z v when M has the rank
+of L, and infinite otherwise.  Both lattices have the same saturation,
+and the index of a lattice in its saturation is the product of its
+nonzero elementary divisors (Cohen, *A Course in Computational Algebraic
+Number Theory*, GTM 138, 1993, section 2.4), so the order is
+prod(invariants of L) / prod(invariants of M).  `order_in_quotient`
+takes for L only the blocks that v meets, so it pays two eliminations
+of those blocks and none of the rest.
 
 Rank over a prime field F_p comes from one sparse Gaussian elimination
 mod p (`rank_mod_p`) with plain Python integers, for every matrix size
@@ -60,7 +60,8 @@ no code with the sparse engines.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
+from itertools import chain
+from math import gcd, prod
 
 SparseRow = dict  # {column: coefficient}
 
@@ -80,10 +81,9 @@ def _nearest_quotient(a: int, b: int) -> int:
 class _Eliminator:
     """Unimodular diagonalization of one connected block of a sparse integer matrix."""
 
-    def __init__(self, rows, passenger: SparseRow):
+    def __init__(self, rows):
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        self.passenger = {c: v for c, v in passenger.items() if v}
         for rid, row in enumerate(rows):
             r = {c: v for c, v in row.items() if v}
             if not r:
@@ -91,7 +91,7 @@ class _Eliminator:
             self.rows[rid] = r
             for c in r:
                 self.cols.setdefault(c, set()).add(rid)
-        self.diag: list[tuple[int, int]] = []
+        self.diag: list[int] = []
 
     def _axpy(self, dst: int, src: int, k: int) -> None:
         """rows[dst] += k * rows[src], maintaining the column index."""
@@ -110,28 +110,17 @@ class _Eliminator:
         if not row_d:
             del self.rows[dst]
 
-    def _passenger_axpy(self, dst_col: int, src_col: int, k: int) -> None:
-        """passenger[dst_col] += k * passenger[src_col]."""
-        p = self.passenger
-        pv = p.get(src_col)
-        if pv:
-            new = p.get(dst_col, 0) + k * pv
-            if new:
-                p[dst_col] = new
-            else:
-                p.pop(dst_col, None)
-
     def _peel(self) -> None:
         """Take every ±1 that is alone in its column as a pivot, in bulk.
 
         Such a column holds no other row, so the column operations that
-        clear the pivot row touch only that row and the passenger: the
-        row is deleted and its columns lose one row.  A column left with
-        one row joins the stack, so the peel cascades.  Other rows are
-        never changed, so the rows peeled do not depend on the order.
+        clear the pivot row touch only that row: the row is deleted and
+        its columns lose one row.  A column left with one row joins the
+        stack, so the peel cascades.  Other rows are never changed, so
+        the rows peeled do not depend on the order.
         Lone entries of larger size are left to the pivot loop.
         """
-        rows, cols, passenger = self.rows, self.cols, self.passenger
+        rows, cols = self.rows, self.cols
         stack = [c for c, rs in cols.items() if len(rs) == 1]
         while stack:
             col = stack.pop()
@@ -143,14 +132,12 @@ class _Eliminator:
             u = row[col]
             if u != 1 and u != -1:
                 continue
-            self.diag.append((col, 1))
+            self.diag.append(1)
             del rows[rid]
             del cols[col]
-            for c, v in row.items():
+            for c in row:
                 if c == col:
                     continue
-                if passenger:
-                    self._passenger_axpy(c, col, -v * u)
                 rs = cols[c]
                 rs.discard(rid)
                 if len(rs) == 1:
@@ -206,8 +193,8 @@ class _Eliminator:
                 continue
             # Row phase: the pivot column now holds only the pivot, so
             # every column operation touches nothing but the pivot row
-            # (and the passenger) and is done in place.  A remainder
-            # moves the pivot to a new column, which may be dirty again.
+            # and is done in place.  A remainder moves the pivot to a
+            # new column, which may be dirty again.
             row = rows[rid]
             val = row[col]
             moved = False
@@ -217,7 +204,6 @@ class _Eliminator:
                 q = _nearest_quotient(row[c], val)
                 if q:
                     new = row[c] - q * val
-                    self._passenger_axpy(c, col, -q)
                     if not new:
                         del row[c]
                         cols[c].discard(rid)
@@ -230,7 +216,7 @@ class _Eliminator:
                 continue
             break
         val = rows[rid][col]
-        self.diag.append((col, abs(val)))
+        self.diag.append(abs(val))
         del rows[rid]
         cols[col].discard(rid)
         if not cols[col]:
@@ -241,7 +227,7 @@ class _Eliminator:
         while self.rows:
             rid, col = self._pick_pivot()
             self._process_pivot(rid, col)
-        return self.diag, self.passenger
+        return self.diag
 
 
 def _components(rows) -> list[list[SparseRow]]:
@@ -333,47 +319,30 @@ def smith_normal_form(rows) -> tuple[list[int], int]:
     `rows` is an iterable of sparse rows.  Each connected block is
     eliminated on its own.
     """
-    diag = [v for block in _components(rows) for _, v in _Eliminator(block, {}).run()[0]]
+    diag = [v for block in _components(rows) for v in _Eliminator(block).run()]
     return _divisibility_chain(diag), len(diag)
 
 
 def order_in_quotient(rows, vector: SparseRow):
     """Order of a vector in Z^ncols modulo the row lattice of `rows`.
 
-    The lattice is the direct sum of its connected blocks, so the order
-    is the lcm of the orders of the vector's parts on the blocks it
-    meets; blocks it misses are not eliminated.  A block's columns are
-    those of its nonzero entries.  Each part is carried through the
-    column operations of its block's elimination, the peel's included:
-    taking out a row with a lone unit u in column j adds -v * u * c_j to
-    the part's coefficient c of every other column holding an entry v of
-    that row.  In the final basis the block's lattice is spanned by
-    d_j * e_j over its pivot columns, so the part's order is
-    lcm(d_j / gcd(d_j, c_j)).  The order is None (infinite) when a part
-    keeps support off its block's pivot columns, or when the vector is
-    nonzero on a column that no nonzero row touches.  Zero entries of the
-    vector are ignored.
+    The vector joins the rows as one more row, so the blocks it meets
+    fall into one block that ends with it; the other blocks are direct
+    summands it misses and are not eliminated.  With L the lattice of
+    that block's rows and M = L + Z * vector, the order is None
+    (infinite) when rank M > rank L and otherwise the index
+    prod(invariants of L) / prod(invariants of M).  Zero entries of the
+    vector are ignored, and the zero vector has order 1.
     """
     support = {c: v for c, v in vector.items() if v}
-    parts = []
-    for block in _components(rows):
-        cols = {c for row in block for c, v in row.items() if v}
-        part = {c: support.pop(c) for c in cols.intersection(support)}
-        if part:
-            parts.append((block, part))
-    if support:
+    if not support:
+        return 1
+    block = next(b for b in _components(chain(rows, [support])) if b[-1] is support)
+    lattice, lattice_rank = smith_normal_form(block[:-1])
+    extended, extended_rank = smith_normal_form(block)
+    if extended_rank > lattice_rank:
         return None
-    order = 1
-    for block, part in parts:
-        diag, passenger = _Eliminator(block, part).run()
-        pivot = dict(diag)
-        for c, coeff in passenger.items():
-            d = pivot.get(c)
-            if d is None:
-                return None
-            step = d // gcd(d, coeff)
-            order = order * step // gcd(order, step)
-    return order
+    return prod(lattice) // prod(extended)
 
 
 # ---------------------------------------------------------------------------

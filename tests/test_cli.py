@@ -97,6 +97,16 @@ def test_classify_general_params(capsys):
     assert payload["mechanism"] == "divisor-witness" and payload["witness"] == 5
 
 
+def test_classify_two_and_three_by_the_recurrence_walk(capsys):
+    for p in (2, 3):
+        code, out = run_cli(capsys, "classify", str(p), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "classification.schema.json")
+        assert payload["verdict"] == "non-torsion" and payload["mechanism"] == "exhausted-cycle"
+        assert payload["paper_expectation"] is None
+
+
 def test_classify_rejects_composite(capsys):
     assert main(["classify", "15"]) == 2
 
@@ -224,6 +234,10 @@ def test_bad_flags_exit_2(capsys):
     # AX has only quadratic relations, so a truncation degree is refused, not ignored
     assert main(["export-relations", "--algebra", "AX", "--max-degree", "2"]) == 2
     assert "--max-degree does not apply to --algebra AX" in capsys.readouterr().err
+    # E's relations start in degree 2, so a lower truncation is refused, not clamped
+    for degree in ("1", "0", "-3"):
+        assert main(["export-relations", "--max-degree", degree]) == 2
+        assert "max_degree must be at least 2" in capsys.readouterr().err
 
 
 PARAMS_FLAGS = {"--params", "--theorem2"}

@@ -1,0 +1,51 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Each case runs the CLI in process and compares its stdout with the file
+of the same name under tests/golden/.  After an intended change of a
+report, rewrite the files with `PYTHONPATH=src python tests/test_golden.py`
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from looptorsion.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+CASES = {
+    "recurrence_6": ["recurrence", "6"],
+    "torsion_primes_E5": ["torsion-primes"],
+    "torsion_primes_AX4_json": ["torsion-primes", "--algebra", "AX", "--json"],
+    "hilbert_E_field7_json": ["hilbert", "--field", "7", "--json"],
+    "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
+    "order_rho_4_5": ["order", "--rho", "4,5"],
+    "order_AX_rho_4_4_json": ["order", "--algebra", "AX", "--rho", "4,4", "--json"],
+    "classify_41_json": ["classify", "41", "--json"],
+    "census_1000": ["census", "1000"],
+    "theorem2_7_bound60_json": ["theorem2", "7", "--bound", "60", "--json"],
+    "export_relations_E": ["export-relations"],
+    "export_relations_AX_ungraded": ["export-relations", "--algebra", "AX", "--convention", "ungraded"],
+}
+
+
+def run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert run(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(run(argv), encoding="utf-8")

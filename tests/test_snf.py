@@ -129,12 +129,20 @@ def test_order_in_quotient_examples():
     assert snf.order_in_quotient(sparse([[2, 0, 0]]), {2: 1}) is None
     # an explicit zero in the vector is no support
     assert snf.order_in_quotient(sparse([[2, 0, 0]]), {0: 1, 2: 0}) == 2
-    # a vector over two blocks: the lcm of the orders of its parts
+    # a vector over two blocks: the lcm of the orders of its parts, not
+    # their product
     assert snf.order_in_quotient([{0: 2}, {3: 3}], {0: 1, 3: 1}) == 6
+    assert snf.order_in_quotient([{0: 4}, {1: 6}], {0: 1, 1: 1}) == 12
+    assert snf.order_in_quotient([{0: 4}, {1: 6}], {0: 2, 1: 3}) == 2
+    # one part of infinite order makes the whole order infinite
+    assert snf.order_in_quotient([{0: 4}, {1: 6, 2: 6}], {0: 1, 2: 1}) is None
     # an explicit zero in a row does not put its column into that row's block
     assert snf.order_in_quotient([{0: 1, 5: 0}, {5: 2}], {5: 1}) == 2
     # no rows at all: every nonzero vector has infinite order
     assert snf.order_in_quotient([], {0: 1}) is None
+    # the zero vector has order 1, with or without rows
+    assert snf.order_in_quotient(rows, {0: 0}) == 1
+    assert snf.order_in_quotient([], {}) == 1
 
 
 def test_order_in_quotient_agrees_with_naive_search():
@@ -186,7 +194,7 @@ class WatchedRow(dict):
 
 def eliminator_watching(mat, watched):
     """An eliminator over `mat` whose row `watched` records being scanned."""
-    e = snf._Eliminator(sparse(mat), {})
+    e = snf._Eliminator(sparse(mat))
     e.rows[watched] = WatchedRow(e.rows[watched])
     return e
 
@@ -419,14 +427,14 @@ def test_peel_removes_the_band_and_keeps_lone_non_units():
     rng = random.Random(67)
     for _ in range(60):
         rows, band_cols, band_rows, lone_rows = random_peel_blocks(rng)
-        e = snf._Eliminator(rows, {})
+        e = snf._Eliminator(rows)
         kept = {rid: dict(row) for rid, row in e.rows.items() if rid not in band_rows}
         before = len(e.rows)
         e._peel()
         assert not band_rows & set(e.rows)
         assert lone_rows <= set(e.rows)
         # one unit pivot per row taken, and the rows kept are unchanged
-        assert [d for _, d in e.diag] == [1] * (before - len(e.rows))
+        assert e.diag == [1] * (before - len(e.rows))
         assert e.rows == {rid: row for rid, row in kept.items() if rid in e.rows}
 
 
@@ -464,12 +472,11 @@ def test_peel_takes_exactly_the_cascading_unit_rows():
         [0, 0, 0, 1, 1],
         [0, 0, 0, 1, -1],
     ]
-    e = snf._Eliminator(sparse(mat), passenger={0: 1})
+    e = snf._Eliminator(sparse(mat))
     e._peel()
     assert sorted(e.rows) == [2, 3, 4]
-    assert e.diag == [(0, 1), (1, 1)]
-    # column 1 -= 2 * column 0, then column 2 -= 3 * (-1) * column 1
-    assert e.passenger == {0: 1, 1: -2, 2: -6}
+    assert e.diag == [1, 1]
+    assert 0 not in e.cols and 1 not in e.cols
     assert e.rows[2] == {2: 2, 3: 4}
     assert snf.order_in_quotient(sparse(mat), {0: 1}) == snf.naive_order_in_quotient(sparse(mat), 5, {0: 1}, 60)
 
