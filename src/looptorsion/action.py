@@ -1,11 +1,12 @@
 """The derivation action of x1, x2 and the twisted-tensor identification.
 
 x1 and x2 act on the inner algebra by derivations determined by their
-values on generators.  The action is engineered so that x1 sends tau_m
-to tau_{m+1} and x2 sends tau_m to a_m * rho(4, m+1), which is why the
-relation ideal is preserved.  At the level of graded abelian groups this
-identifies the full algebra with the free algebra on x1, x2 tensored
-with the inner algebra, giving the dimension identity
+values on generators, which `presentation.derivation_images` lists.
+The action is engineered so that x1 sends tau_m to tau_{m+1} and x2
+sends tau_m to a_m * rho(4, m+1), which is why the relation ideal is
+preserved.  At the level of graded abelian groups this identifies the
+full algebra with the free algebra on x1, x2 tensored with the inner
+algebra, giving the dimension identity
 
     dim AX_n = sum over i+j=n of 2^i * dim E_j
 
@@ -20,24 +21,12 @@ the package default.
 
 from __future__ import annotations
 
-from .freealg import (
-    CONVENTIONS,
-    GRADED,
-    UNGRADED,
-    Element,
-    U1,
-    U2,
-    U3,
-    U4,
-    V,
-    X1,
-    X2,
-    bracket,
-)
+from .freealg import CONVENTIONS, GRADED, UNGRADED, Element, X1, X2
 from .presentation import (
     Params,
     RelationSet,
     THEOREM1_PARAMS,
+    derivation_images,
     relation_set_AX,
     relation_set_E,
 )
@@ -58,7 +47,7 @@ class DerivationSpec:
             raise ValueError(f"unknown sign convention {convention!r}")
         self.params = params
         self.convention = convention
-        self.images = dict(images) if images is not None else _generator_images(params, convention)
+        self.images = dict(images) if images is not None else derivation_images(params, convention)
 
     def replaced(self, x: int, gen: int, element: Element) -> "DerivationSpec":
         """Copy of this spec with one generator image overridden."""
@@ -67,27 +56,12 @@ class DerivationSpec:
         return DerivationSpec(self.params, self.convention, images)
 
 
-def _generator_images(params: Params, convention: str) -> dict:
-    def br(i, j):
-        return bracket(Element.gen(i), Element.gen(j), convention)
-
-    zero = Element.zero()
-    images = {(x, g): zero for x in (X1, X2) for g in range(6)}
-    images[(X1, U1)] = br(U1, V) + br(U2, V) * params.a
-    images[(X1, U2)] = br(U2, V) * params.b + br(U3, V) * params.d
-    images[(X1, U3)] = br(U2, V) * params.c
-    images[(X2, U2)] = br(U4, V)
-    return images
-
-
-def act(x, f: Element, spec: DerivationSpec) -> Element:
+def act(x: int, f: Element, spec: DerivationSpec) -> Element:
     """Apply a derivation to a homogeneous element by the Leibniz rule.
 
     graded:   x*(fg) = (x*f) g + (-1)^{|f|} f (x*g);
     ungraded: x*(fg) = (x*f) g + f (x*g).
     """
-    if isinstance(x, str):
-        x = {"x1": X1, "x2": X2}[x]
     if x not in (X1, X2):
         raise ValueError("the acting generator must be x1 or x2")
     if not f.is_homogeneous():

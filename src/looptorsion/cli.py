@@ -15,6 +15,8 @@ import sys
 from . import numtheory
 from .freealg import CONVENTIONS, DEFAULT_CONVENTION, format_element, parse_element
 from .presentation import (
+    AX_NUM_GENS,
+    E_NUM_GENS,
     Params,
     THEOREM1_PARAMS,
     coeff_sequence,
@@ -152,7 +154,7 @@ def cmd_order(args) -> int:
         elem = rho(i, m, args.convention)
         label = f"rho({i},{m})"
     else:
-        elem = parse_element(args.element, 6 if args.algebra == "E" else 8)
+        elem = parse_element(args.element, E_NUM_GENS if args.algebra == "E" else AX_NUM_GENS)
         label = format_element(elem)
     degree = elem.degree()
     if degree is None:

@@ -7,9 +7,10 @@ Six integer parameters (a, b, c, d, a2, b2) drive everything:
   u1..u4, v, w;
 * the relation family S = {tau_m} u {a_m * rho_{4,m+1}} presenting the
   inner algebra E as a quotient of the free algebra;
-* thirteen quadratic relations presenting the full 8-generator algebra
-  AX, which the `action` module identifies degreewise with a twisted
-  tensor product of Z<x1,x2> and E.
+* the images of u1..u4, v, w under the derivations x1, x2, and from
+  them the thirteen quadratic relations [x, g] - x*g and tau_2
+  presenting the full 8-generator algebra AX, which the `action` module
+  identifies degreewise with a twisted tensor product of Z<x1,x2> and E.
 """
 
 from __future__ import annotations
@@ -157,33 +158,34 @@ def relation_set_E(params: Params, maxdeg: int, convention: str = DEFAULT_CONVEN
     return RelationSet(E_NUM_GENS, params, convention, tuple(rels), tuple(warnings))
 
 
+#: The (x, generator) pair of each bracket relation AX_1..AX_12, in export order.
+_AX_SLOTS = tuple((X1, g) for g in (U1, U2, U3, U4, V, W)) + tuple((X2, g) for g in (U1, U3, U4, V, W, U2))
+
+
+def derivation_images(params: Params, convention: str) -> dict:
+    """Images x*g of the inner generators under the derivations x1, x2.
+
+    Maps every (x, g) to a degree-2 element, zero unless listed below.
+    The values make x1 send tau_m to tau_{m+1} and x2 send tau_m to
+    a_m * rho(4, m+1), which is why the action preserves the ideal of E.
+    """
+    images = {(x, g): Element.zero() for x in (X1, X2) for g in range(E_NUM_GENS)}
+    images[(X1, U1)] = sigma(1, 2, convention) + sigma(2, 2, convention) * params.a
+    images[(X1, U2)] = sigma(2, 2, convention) * params.b + sigma(3, 2, convention) * params.d
+    images[(X1, U3)] = sigma(2, 2, convention) * params.c
+    images[(X2, U2)] = sigma(4, 2, convention)
+    return images
+
+
 def relation_set_AX(params: Params, convention: str = DEFAULT_CONVENTION) -> RelationSet:
-    """The thirteen quadratic relations presenting the full algebra."""
-    a, b, c, d, a2, b2 = params.as_tuple()
-    u1, u2, u3, u4 = (Element.gen(g) for g in (U1, U2, U3, U4))
-    v = Element.gen(V)
-    w = Element.gen(W)
-    x1 = Element.gen(X1)
-    x2 = Element.gen(X2)
+    """The thirteen quadratic relations presenting the full algebra.
 
-    def br(f, g):
-        return bracket(f, g, convention)
-
-    elems = [
-        br(x1, u1) - br(u1, v) - br(u2, v) * a,
-        br(x1, u2) - br(u2, v) * b - br(u3, v) * d,
-        br(x1, u3) - br(u2, v) * c,
-        br(x1, u4),
-        br(x1, v),
-        br(x1, w),
-        br(x2, u1),
-        br(x2, u3),
-        br(x2, u4),
-        br(x2, v),
-        br(x2, w),
-        br(x2, u2) - br(u4, v),
-        br(u1, w) + br(u2, w) * a2 + br(u3, w) * b2,
-    ]
+    AX_1..AX_12 are [x, g] - x*g, one for each slot of _AX_SLOTS, and
+    AX_13 is tau_2.
+    """
+    images = derivation_images(params, convention)
+    elems = [bracket(Element.gen(x), Element.gen(g), convention) - images[(x, g)] for x, g in _AX_SLOTS]
+    elems.append(tau(2, params, convention))
     rels = tuple(Relation(f"AX_{k}", e, 2) for k, e in enumerate(elems, start=1))
     return RelationSet(AX_NUM_GENS, params, convention, rels)
 

@@ -13,6 +13,7 @@ set and degree, since the verification suites revisit them repeatedly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import numtheory, snf
 from .freealg import Element, word_rank
@@ -41,21 +42,13 @@ class GradedPiece:
     divisors: tuple[int, ...]  # invariant factors > 1, each dividing the next
 
 
-_matrix_cache: dict = {}
-_snf_cache: dict = {}
-_modrank_cache: dict = {}
-
-
+@cache
 def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
     """All (left, relation, right) expansions in degree n, one row each.
 
     Duplicate rows are kept: they change neither the Smith form nor any
     rank.
     """
-    key = (rels, n)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
     g = rels.num_gens
     rows: list[dict[int, int]] = []
     for rel in rels.relations:
@@ -73,19 +66,18 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
                 for rrank in range(gj):
                     off = base_l + rrank
                     rows.append({off + rank: coeff for rank, coeff in shifted})
-    matrix = DegreeMatrix(n, g, rows)
-    _matrix_cache[key] = matrix
-    return matrix
+    return DegreeMatrix(n, g, rows)
 
 
+@cache
 def smith_invariants(rels: RelationSet, n: int) -> tuple[list[int], int]:
     """Cached Smith normal form (invariant factors, rank) in degree n."""
-    key = (rels, n)
-    cached = _snf_cache.get(key)
-    if cached is None:
-        matrix = ideal_spanning_matrix(rels, n)
-        cached = _snf_cache[key] = snf.smith_normal_form(matrix.rows)
-    return cached
+    return snf.smith_normal_form(ideal_spanning_matrix(rels, n).rows)
+
+
+@cache
+def _rank_mod_p(rels: RelationSet, n: int, p: int) -> int:
+    return snf.rank_mod_p(ideal_spanning_matrix(rels, n).rows, p)
 
 
 def graded_piece(rels: RelationSet, n: int) -> GradedPiece:
@@ -111,12 +103,7 @@ def dimension(rels: RelationSet, n: int, field) -> int:
         raise ValueError(f"field primes must be < 2^61, got {p}")
     if not numtheory.is_prime(p):
         raise ValueError(f"field characteristic {p} is not prime")
-    key = (rels, n, p)
-    rank = _modrank_cache.get(key)
-    if rank is None:
-        matrix = ideal_spanning_matrix(rels, n)
-        rank = _modrank_cache[key] = snf.rank_mod_p(matrix.rows, p)
-    return rels.num_gens**n - rank
+    return rels.num_gens**n - _rank_mod_p(rels, n, p)
 
 
 def element_order(e: Element, rels: RelationSet, n: int):

@@ -22,6 +22,7 @@ from . import numtheory, snf
 from .action import DerivationSpec, check_preserves_ideal, select_convention
 from .freealg import CONVENTIONS, Element, GRADED, U1, V, X1, bracket, word_rank
 from .presentation import (
+    E_NUM_GENS,
     Params,
     THEOREM1_PARAMS,
     coeff_sequence,
@@ -249,16 +250,16 @@ def check_convention_comparison() -> dict:
 
 def check_relations_file(path: str) -> dict:
     """Re-parse an exported relation file and compare against construction."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         parsed = parse_relation_set(text)
-        if parsed.num_gens == 6:
+        if parsed.num_gens == E_NUM_GENS:
             built = relation_set_E(parsed.params, parsed.max_degree(), parsed.convention)
         else:
             built = relation_set_AX(parsed.params, parsed.convention)
         ok = format_relation_set(built) == format_relation_set(parsed)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return {"name": "relations-file", "ok": False, "error": str(exc)}
     return {"name": "relations-file", "ok": ok}
 

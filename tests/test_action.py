@@ -46,7 +46,7 @@ def test_generator_images_reference_values():
     spec = DerivationSpec(THEOREM1_PARAMS, UNGRADED)
     assert act(X1, Element.gen(U3), spec) == bracket(Element.gen(U2), Element.gen(V), UNGRADED) * -3
     assert act(X2, Element.gen(V), spec).is_zero()
-    assert act("x1", Element.gen(U1), spec) == bracket(Element.gen(U1), Element.gen(V), UNGRADED)
+    assert act(X1, Element.gen(U1), spec) == bracket(Element.gen(U1), Element.gen(V), UNGRADED)
 
 
 def test_act_leibniz_on_a_product_by_hand():

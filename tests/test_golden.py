@@ -30,6 +30,10 @@ CASES = {
     "theorem2_7_bound60_json": ["theorem2", "7", "--bound", "60", "--json"],
     "export_relations_E": ["export-relations"],
     "export_relations_AX_ungraded": ["export-relations", "--algebra", "AX", "--convention", "ungraded"],
+    "export_relations_AX_mixed": ["export-relations", "--algebra", "AX", "--params", "1,-2,3,-4,5,-6"],
+    "export_relations_AX_mixed_ungraded": [
+        "export-relations", "--algebra", "AX", "--params", "1,-2,3,-4,5,-6", "--convention", "ungraded"
+    ],
 }
 
 

@@ -190,6 +190,11 @@ def test_parse_relation_set_rejects_corruption(tmp_path):
     for bad in (zero_line, unknown_convention, degree_one):
         path.write_text(bad, encoding="utf-8")
         assert check_relations_file(str(path))["ok"] is False
+    # files that cannot be read as text at all: missing, and not UTF-8
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(text.replace("u1", "\xfc1").encode("latin-1"))
+    for unreadable in (tmp_path / "missing.txt", not_utf8):
+        assert check_relations_file(str(unreadable))["ok"] is False
 
 
 PARAMS = st.builds(Params, *[st.integers(-50, 50)] * 6)
