@@ -14,9 +14,11 @@ For the reference parameter family a prime p is a torsion prime iff
   prime-order step.  `census` and `classify_prime_theorem1` use it;
 * the power walk and the recurrence walk (the oracle): walk the powers
   of 3 mod p until the cycle closes (`power_witness`), or the
-  coefficient recurrence for arbitrary parameters with cycle detection
-  (`divides_some_am`).  The verification sweeps compare the other
-  routes against these walks.
+  coefficient recurrence mod p for arbitrary parameters until its state
+  repeats (`divides_some_am`).  The recurrence is affine, and an affine
+  map of F_p^2 is purely periodic after two steps, so the walk saves
+  the state after them and stops when that state comes back.  The
+  verification sweeps compare the other routes against these walks.
 
 The classical heuristic "3 a non-residue implies 3 is a primitive root",
 which would make the classes 5, 7, 17, 19 mod 24 always solvable, is
@@ -316,27 +318,25 @@ def is_primitive_root(g: int, p: int) -> bool:
 def power_witness(p: int) -> int | None:
     """Least m >= 2 with 2 + 3^m = 0 mod p, or None if no power works.
 
-    This is the brute-force oracle: it walks the full cycle of powers of
-    3 mod p, so a None answer is an exhaustive check.
+    This is the brute-force oracle: it walks the powers 3^m mod p from
+    m = 2 and stops at the first that equals -2, so a None answer is an
+    exhaustive check of the whole cycle.  The target is tested before
+    the cycle closes at 3^m = 3: only p = 5 has -2 = 3, and there the
+    answer is m = 1 + ord_5(3) = 5.
     """
     _require_prime(p)
     if p in (2, 3):
         raise ValueError("p must be a prime other than 2 and 3")
     target = p - 2
-    x = 3 % p
-    first = 1 if x == target else None
+    x = 3
     m = 1
     while True:
         x = x * 3 % p
         m += 1
-        if x == 3 % p:
-            break
-        if first is None and x == target:
-            first = m
-    ord3 = m - 1
-    if first is None:
-        return None
-    return first if first >= 2 else first + ord3
+        if x == target:
+            return m
+        if x == 3:
+            return None
 
 
 @dataclass(frozen=True)
@@ -399,39 +399,61 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
 
 @lru_cache(maxsize=None)
 def divides_some_am(params: Params, q: int) -> int | None:
-    """Least m >= 2 with a_m = 0 mod q, or None when the cycle closes first.
+    """Least m >= 2 with a_m = 0 mod q, or None when no a_m is.
 
-    Iterates the state (a_m, b_m) mod q of the coefficient recurrence
-    under Brent's cycle detection, in O(1) memory.  The hare visits every
-    state in order, so the first zero it meets gives the least m.  When
-    it meets the tortoise, the states from there on repeat states it has
-    already visited, so no zero follows.
+    Steps the recurrence mod q and saves its state at m = 5.  Lemma: an
+    affine map of F_q^2 is purely periodic after two steps (stated and
+    proved in `_first_zero_of_am`), so the saved state comes back after
+    one period.  Every m is visited in order, so the first zero gives the
+    least m; when the saved state comes back first, no a_m is 0 mod q.
     """
     _require_prime(q, "q")
     return _first_zero_of_am(params, q)
 
 
 def _first_zero_of_am(params: Params, q: int) -> int | None:
-    """`divides_some_am` without the primality check, for primes already sieved."""
-    a_, b_, c_, d_ = params.a % q, params.b % q, params.c % q, params.d % q
-    a, b = params.a2 % q, params.b2 % q
-    m = 2
-    if a == 0:
-        return m
-    tortoise_a, tortoise_b = a, b
-    power = lam = 1
-    while True:
-        a, b = (a_ + b_ * a + c_ * b) % q, d_ * a % q
-        m += 1
-        if a == 0:
+    """`divides_some_am` without the primality check, for primes already sieved.
+
+    From m = 3 on b_m = d*a_(m-1), so a_(m+1) = a + b*a_m + c*d*a_(m-1):
+    the walk steps the state (a_m, a_(m-1)) by the affine map
+    G(x, y) = (A + B*x + CD*y, x) of F_q^2, with A, B, CD = a, b, c*d
+    mod q: one multiply-mod per step.
+
+    Lemma: after two steps every orbit of G is purely periodic.  Proof:
+    homogenised, G is the linear map L(x, y, z) = (B*x + CD*y + A*z, x, z)
+    of F_q^3, whose characteristic polynomial (t - 1)(t^2 - B*t - CD)
+    has 1 as a root, so 0 has algebraic multiplicity at most 2.  F_q^3
+    splits into L-invariant parts N + U with L nilpotent on N, dim N <= 2,
+    and L invertible on U.  Then L^2 kills N, so L^2 maps every vector
+    into U, where L permutes a finite set and every orbit is a cycle.
+    The argument uses nothing of G but that it is affine, so it holds
+    whether or not q divides c*d (when G is not invertible), and also
+    for the state map (a_m, b_m) -> (a_(m+1), b_(m+1)).
+
+    So the walk checks m = 2, 3 and the two tail steps m = 4, 5 for a
+    zero, saves the state at m = 5, and then steps until a_m = 0 or the
+    saved state comes back.
+    """
+    A, B, CD = params.a % q, params.b % q, params.c * params.d % q
+    y = params.a2 % q
+    if y == 0:
+        return 2
+    x = (params.a + params.b * params.a2 + params.c * params.b2) % q
+    if x == 0:
+        return 3
+    for m in (4, 5):
+        x, y = (A + B * x + CD * y) % q, x
+        if x == 0:
             return m
-        if a == tortoise_a and b == tortoise_b:
+    start_x, start_y = x, y
+    m = 5
+    while True:
+        x, y = (A + B * x + CD * y) % q, x
+        m += 1
+        if x == 0:
+            return m
+        if x == start_x and y == start_y:
             return None
-        if power == lam:
-            tortoise_a, tortoise_b = a, b
-            power *= 2
-            lam = 0
-        lam += 1
 
 
 def classify_prime_general(params: Params, q: int) -> PrimeClassification:
@@ -495,7 +517,8 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
 
     mode "theorem1" takes the verdicts of `theorem1_verdicts` and skips 2
     and 3; mode "general" decides every prime by the recurrence walk of
-    `divides_some_am` for the given params, without its primality check
+    `divides_some_am` for the given params (two tail steps, then one
+    period, by the lemma of `_first_zero_of_am`), without its primality check
     (the primes come from the sieve) and without the witness re-check
     and Legendre symbols of `classify_prime_general`.  Rows carry the
     residue-rule expectation where one exists and list every prime whose

@@ -20,7 +20,7 @@ import sys
 
 from . import numtheory, snf
 from .action import DerivationSpec, check_preserves_ideal, select_convention
-from .freealg import CONVENTIONS, Element, GRADED, U1, V, X1, bracket, word_rank
+from .freealg import CONVENTIONS, Element, GRADED, U1, U2, U3, V, W, X1, bracket, word_rank
 from .presentation import (
     E_NUM_GENS,
     Params,
@@ -59,12 +59,14 @@ def check_recurrence_closed_forms() -> dict:
 
 
 def check_presentation_consistency() -> dict:
-    """tau_2 equals the 13th quadratic relation; degrees are as advertised."""
+    """The 13th quadratic relation is [u1,w] + a2[u2,w] + b2[u3,w]; degrees are as advertised."""
     ok = True
     samples = [THEOREM1_PARAMS, Params(30, 1, 0, 0, 1, 0), Params(1, 2, 3, 4, 5, 6), Params(0, 0, 0, 0, 0, 0)]
     for params in samples:
         for conv in CONVENTIONS:
-            ok = ok and tau(2, params, conv) == relation_set_AX(params, conv).relations[12].element
+            u1w, u2w, u3w = (bracket(Element.gen(g), Element.gen(W), conv) for g in (U1, U2, U3))
+            tau2 = u1w + u2w * params.a2 + u3w * params.b2
+            ok = ok and relation_set_AX(params, conv).relations[12].element == tau2
             rels = relation_set_E(params, 4, conv)
             for rel in rels.relations:
                 ok = ok and rel.element.degree() == rel.degree

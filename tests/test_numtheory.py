@@ -219,6 +219,31 @@ def test_divides_some_am_agrees_with_power_walk():
         assert nt.divides_some_am(THEOREM1_PARAMS, q) == nt.power_witness(q)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.builds(Params, *[st.integers(-12, 12)] * 6), st.sampled_from(list(sympy.primerange(2, 200))))
+def test_divides_some_am_matches_brute_force_walk(params, q):
+    # the state (a_m, b_m) mod q takes at most q^2 values, so every value
+    # a_m takes, it takes for some m <= q^2 + 1
+    expected = None
+    a, b = params.a2 % q, params.b2 % q
+    for m in range(2, q * q + 3):
+        if a == 0:
+            expected = m
+            break
+        a, b = (params.a + params.b * a + params.c * b) % q, params.d * a % q
+    assert nt.divides_some_am(params, q) == expected
+
+
+def test_divides_some_am_after_a_tail_of_two_steps():
+    # a_m = 1, 2, 1, 1, ...: the states at m = 3 and 4 never come back,
+    # so a walk that saved either of them would not stop
+    params = Params(1, 0, 1, 0, 1, 1)
+    assert [am for _, am, _ in coeff_sequence(params, 6)] == [1, 2, 1, 1, 1]
+    assert nt.divides_some_am(params, 2) == 3
+    for q in (3, 5, 101):
+        assert nt.divides_some_am(params, q) is None
+
+
 def test_theorem2_params():
     assert nt.theorem2_params([2, 3, 5]) == Params(30, 1, 0, 0, 1, 0)
     assert nt.theorem2_params([7]).a == 7

@@ -140,9 +140,12 @@ def test_relation_set_AX_contents():
 
 
 def test_tau2_matches_thirteenth_relation():
-    for params in (THEOREM1_PARAMS, Params(1, 2, 3, 4, 5, 6), ZERO_PARAMS):
+    # expanded from brackets and (a2, b2), independently of tau, rho and coeff_sequence
+    for params in (THEOREM1_PARAMS, Params(1, 2, 3, 4, 5, 6), Params(1, -2, 3, -4, 5, -6), ZERO_PARAMS):
         for conv in (GRADED, UNGRADED):
-            assert tau(2, params, conv) == relation_set_AX(params, conv).relations[12].element
+            u1w, u2w, u3w = (bracket(Element.gen(g), Element.gen(W), conv) for g in (U1, U2, U3))
+            expected = u1w + u2w * params.a2 + u3w * params.b2
+            assert relation_set_AX(params, conv).relations[12].element == expected
 
 
 def test_relation_set_round_trips_through_text():
