@@ -26,8 +26,11 @@ CASES = {
     "order_rho_4_5": ["order", "--rho", "4,5"],
     "order_AX_rho_4_4_json": ["order", "--algebra", "AX", "--rho", "4,4", "--json"],
     "classify_41_json": ["classify", "41", "--json"],
+    "classify_103": ["classify", "103"],
+    "classify_2": ["classify", "2"],
     "census_1000": ["census", "1000"],
     "theorem2_7_bound60_json": ["theorem2", "7", "--bound", "60", "--json"],
+    "theorem2_7_bound60": ["theorem2", "7", "--bound", "60"],
     "export_relations_E": ["export-relations"],
     "export_relations_AX_ungraded": ["export-relations", "--algebra", "AX", "--convention", "ungraded"],
     "export_relations_AX_mixed": ["export-relations", "--algebra", "AX", "--params", "1,-2,3,-4,5,-6"],
