@@ -24,7 +24,7 @@ print("Sample classifications (reference family):")
 for p in (11, 13, 17, 23, 29, 41, 103):
     cls = classify_prime_theorem1(p)
     witness = f", witness m = {cls.witness} (2 + 3^{cls.witness} = {2 + 3**cls.witness})" if cls.witness else ""
-    print(f"  p = {p:4d} ({cls.mod24:2d} mod 24): {cls.verdict} via {cls.mechanism}{witness}")
+    print(f"  p = {p:4d} ({p % 24:2d} mod 24): {cls.verdict} via {cls.mechanism}{witness}")
 print()
 print("p = 41 and p = 103 sit in 'always torsion' classes 17 and 7 yet have no")
 print("witness: (-2)^ord_p(3) != 1 mod p, so the primitive-root shortcut fails.")

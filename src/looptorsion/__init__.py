@@ -53,7 +53,6 @@ from .numtheory import (
     classify_prime_theorem1,
     divides_some_am,
     is_prime,
-    is_primitive_root,
     legendre,
     power_witness,
     theorem2_params,
@@ -88,7 +87,6 @@ __all__ = [
     "ideal_spanning_matrix",
     "invert_series",
     "is_prime",
-    "is_primitive_root",
     "legendre",
     "multiply",
     "parse_element",

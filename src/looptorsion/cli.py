@@ -102,7 +102,7 @@ def cmd_classify(args) -> int:
     # walk decides 2 and 3 as the general census does
     if params == THEOREM1_PARAMS and args.p not in (2, 3):
         cls = numtheory.classify_prime_theorem1(args.p)
-        expectation = numtheory.RULE_EXPECTATION.get(cls.mod24)
+        expectation = numtheory.RULE_EXPECTATION.get(args.p % 24)
     else:
         cls = numtheory.classify_prime_general(params, args.p)
         expectation = None
@@ -116,8 +116,8 @@ def cmd_classify(args) -> int:
         f"p = {cls.prime}: {cls.verdict} ({cls.mechanism}"
         + (f", witness m = {cls.witness}" if cls.witness is not None else "")
         + ")",
-        f"residues: {cls.mod24} mod 24, {cls.mod12} mod 12, {cls.mod8} mod 8",
-        f"legendre (3/p) = {cls.legendre3}, (-2/p) = {cls.legendre_minus2}",
+        "residues: {mod24} mod 24, {mod12} mod 12, {mod8} mod 8".format(**payload["residues"]),
+        f"legendre (3/p) = {payload['legendre3']}, (-2/p) = {payload['legendre_minus2']}",
     ]
     if expectation is not None:
         note = " [DISCREPANCY]" if payload["expectation_discrepancy"] else ""

@@ -190,8 +190,6 @@ def bracket(f: Element, g: Element, convention: str = DEFAULT_CONVENTION) -> Ele
         return Element.zero()
     df = f.degree()
     dg = g.degree()
-    if df is None or dg is None:
-        raise ValueError("bracket requires homogeneous operands")
     fg = f * g
     gf = g * f
     if convention == UNGRADED or (df * dg) % 2 == 0:

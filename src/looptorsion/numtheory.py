@@ -260,13 +260,6 @@ def _order_factorization(a: int, p: int, group: dict[int, int]) -> dict[int, int
     return out
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    _require_prime(p)
-    if a % p == 0:
-        raise ValueError("a must be a unit mod p")
-    return prod(q**k for q, k in _order_factorization(a % p, p, factorize(p - 1)).items())
-
-
 def _baby_step_giant_step(g: int, h: int, n: int, p: int) -> int:
     """The x in [0, n) with g^x = h mod p, where g has order n."""
     step = isqrt(n - 1) + 1
@@ -306,13 +299,6 @@ def _discrete_log(g: int, h: int, p: int, order: dict[int, int]) -> int:
         modulus *= qk
     return x
 
-def is_primitive_root(g: int, p: int) -> bool:
-    """Whether g generates the multiplicative group mod p."""
-    _require_prime(p)
-    if gcd(g, p) != 1:
-        raise ValueError("g must be coprime to p")
-    return multiplicative_order(g, p) == p - 1
-
 
 @lru_cache(maxsize=None)
 def power_witness(p: int) -> int | None:
@@ -345,21 +331,17 @@ class PrimeClassification:
     verdict: str  # "torsion" | "non-torsion"
     mechanism: str  # "residue-rule" | "power-witness" | "divisor-witness" | "exhausted-cycle"
     witness: int | None
-    mod24: int
-    mod12: int
-    mod8: int
-    legendre3: int | None
-    legendre_minus2: int | None
 
     def to_json(self) -> dict:
+        p = self.prime
         return {
-            "prime": self.prime,
+            "prime": p,
             "verdict": self.verdict,
             "mechanism": self.mechanism,
             "witness": self.witness,
-            "residues": {"mod24": self.mod24, "mod12": self.mod12, "mod8": self.mod8},
-            "legendre3": self.legendre3,
-            "legendre_minus2": self.legendre_minus2,
+            "residues": {"mod24": p % 24, "mod12": p % 12, "mod8": p % 8},
+            "legendre3": legendre(3, p) if p > 3 else None,
+            "legendre_minus2": legendre(-2, p) if p > 2 else None,
         }
 
 
@@ -380,21 +362,17 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
     _require_prime(p)
     if p in (2, 3):
         raise ValueError("p must be a prime other than 2 and 3")
-    l3 = legendre(3, p)
-    lm2 = legendre(-2, p)
-    mod24 = p % 24
-    base = dict(prime=p, mod24=mod24, mod12=p % 12, mod8=p % 8, legendre3=l3, legendre_minus2=lm2)
-    if mod24 in (13, 23):
-        return PrimeClassification(verdict="non-torsion", mechanism="residue-rule", witness=None, **base)
+    if p % 24 in (13, 23):
+        return PrimeClassification(p, "non-torsion", "residue-rule", None)
     torsion, order = _minus2_in_powers_of_3(p, factorize(p - 1))
     if not torsion:
         # (-2)^ord_p(3) != 1 says what an exhausted cycle of powers of 3 says
-        return PrimeClassification(verdict="non-torsion", mechanism="exhausted-cycle", witness=None, **base)
+        return PrimeClassification(p, "non-torsion", "exhausted-cycle", None)
     m = _discrete_log(3, p - 2, p, order)
     if m < 2:
         m += prod(q**k for q, k in order.items())
     assert (2 + pow(3, m, p)) % p == 0
-    return PrimeClassification(verdict="torsion", mechanism="power-witness", witness=m, **base)
+    return PrimeClassification(p, "torsion", "power-witness", m)
 
 
 @lru_cache(maxsize=None)
@@ -458,23 +436,14 @@ def _first_zero_of_am(params: Params, q: int) -> int | None:
 
 def classify_prime_general(params: Params, q: int) -> PrimeClassification:
     """Torsion verdict for arbitrary parameters, via the recurrence walk."""
-    _require_prime(q, "q")
-    base = dict(
-        prime=q,
-        mod24=q % 24,
-        mod12=q % 12,
-        mod8=q % 8,
-        legendre3=legendre(3, q) if q > 3 else None,
-        legendre_minus2=legendre(-2, q) if q > 2 else None,
-    )
     m = divides_some_am(params, q)
     if m is None:
-        return PrimeClassification(verdict="non-torsion", mechanism="exhausted-cycle", witness=None, **base)
+        return PrimeClassification(q, "non-torsion", "exhausted-cycle", None)
     seq_a, seq_b = params.a2 % q, params.b2 % q
     for _ in range(m - 2):
         seq_a, seq_b = (params.a + params.b * seq_a + params.c * seq_b) % q, params.d * seq_a % q
     assert seq_a == 0
-    return PrimeClassification(verdict="torsion", mechanism="divisor-witness", witness=m, **base)
+    return PrimeClassification(q, "torsion", "divisor-witness", m)
 
 
 @dataclass

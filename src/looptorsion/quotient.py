@@ -94,13 +94,11 @@ def dimension(rels: RelationSet, n: int, field) -> int:
     The rational dimension comes from the exact integer elimination; the
     modular one from an independent Gaussian elimination mod p, so their
     comparison genuinely cross-checks the Smith form.  A field that is
-    not Q must be a prime below 2^61.
+    not Q must be a prime, of any size.
     """
     if field == "Q":
         return graded_piece(rels, n).free_rank
     p = int(field)
-    if p >= snf.MAX_FIELD_PRIME:
-        raise ValueError(f"field primes must be < 2^61, got {p}")
     if not numtheory.is_prime(p):
         raise ValueError(f"field characteristic {p} is not prime")
     return rels.num_gens**n - _rank_mod_p(rels, n, p)

@@ -49,7 +49,7 @@ of those blocks and none of the rest.
 
 Rank over a prime field F_p comes from one sparse Gaussian elimination
 mod p (`rank_mod_p`) with plain Python integers, for every matrix size
-and every prime below 2^61.  It shares no code with the integer engine,
+and every prime.  It shares no code with the integer engine,
 so rank_p = #{invariant factors not divisible by p} is a real cross-check.
 
 A deliberately naive dense Smith normal form and a triangular-basis
@@ -64,10 +64,6 @@ from itertools import chain
 from math import gcd, prod
 
 SparseRow = dict  # {column: coefficient}
-
-#: Primes at or above this bound are rejected by `rank_mod_p`; nothing
-#: at desk scale needs them.
-MAX_FIELD_PRIME = 1 << 61
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -356,10 +352,7 @@ def rank_mod_p(rows, p: int) -> int:
     Each row is reduced mod p against the pivot rows kept so far, lowest
     column first; a row left nonzero becomes the pivot row of its lowest
     column, scaled to a leading 1.  The rank is the number of pivot rows.
-    Primes at or above 2^61 are rejected: they are beyond desk scale.
     """
-    if p >= MAX_FIELD_PRIME:
-        raise ValueError(f"field primes must be < 2^61, got {p}")
     if p < 2:
         raise ValueError("field characteristic must be a prime")
     pivots: dict[int, dict[int, int]] = {}

@@ -127,6 +127,19 @@ def test_hilbert_inner_algebra_no_poincare(capsys):
     assert payload["A"]["coefficients"] == [1, 6, 35] and "P" not in payload
 
 
+def test_hilbert_accepts_fields_of_any_prime_size(capsys):
+    big = "618970019642690137449562111"  # 2^89 - 1, a Mersenne prime
+    for algebra in ("E", "AX"):
+        code, rational = run_cli(capsys, "hilbert", "--algebra", algebra, "--field", "Q")
+        assert code == 0
+        code, out = run_cli(capsys, "hilbert", "--algebra", algebra, "--field", big)
+        assert code == 0
+        assert out == rational.replace("field Q]", f"field {big}]")
+    # 2^61 + 9 = 11 * 33811 * 6199819341241 is still refused, for not being prime
+    assert main(["hilbert", "--field", "2305843009213693961"]) == 2
+    assert "not prime" in capsys.readouterr().err
+
+
 def test_order_rho(capsys):
     code, out = run_cli(capsys, "order", "--rho", "4,3", "--json")
     assert code == 0

@@ -102,7 +102,7 @@ def test_rank_mod_p_matches_dense_snf_oracle():
     for _ in range(25):
         mat = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         invs = snf.invariant_factors_dense(mat)
-        for p in (2, 13, 97):
+        for p in (2, 13, 97, (1 << 61) - 1, (1 << 89) - 1):
             assert snf.rank_mod_p(sparse(mat), p) == rank_mod_p_from_dense_snf(invs, p)
     for conv in CONVENTIONS:
         for rels in (relation_set_E(THEOREM1_PARAMS, 3, conv), relation_set_AX(THEOREM1_PARAMS, conv)):
@@ -110,13 +110,14 @@ def test_rank_mod_p_matches_dense_snf_oracle():
                 matrix = ideal_spanning_matrix(rels, n)
                 dense = [[row.get(c, 0) for c in range(matrix.ncols)] for row in matrix.rows]
                 invs = snf.invariant_factors_dense(dense)
-                for p in (2, 3, 5, 7, 11, 13, 83):
+                for p in (2, 3, 5, 7, 11, 13, 83, (1 << 61) - 1, (1 << 89) - 1):
                     assert snf.rank_mod_p(matrix.rows, p) == rank_mod_p_from_dense_snf(invs, p)
 
 
-def test_rank_mod_p_rejects_huge_prime():
-    with pytest.raises(ValueError):
-        snf.rank_mod_p([{0: 1}], 1 << 61)
+def test_rank_mod_p_rejects_characteristic_below_two():
+    for p in (1, 0):
+        with pytest.raises(ValueError, match="characteristic"):
+            snf.rank_mod_p([{0: 1}], p)
 
 
 def test_order_in_quotient_examples():
