@@ -21,6 +21,12 @@ CASES = {
     "recurrence_6": ["recurrence", "6"],
     "torsion_primes_E5": ["torsion-primes"],
     "torsion_primes_AX4_json": ["torsion-primes", "--algebra", "AX", "--json"],
+    "torsion_primes_E7": ["torsion-primes", "--max-degree", "7"],
+    "torsion_primes_AX5": ["torsion-primes", "--algebra", "AX", "--max-degree", "5"],
+    "torsion_primes_E6_a2_zero": ["torsion-primes", "--params", "0,1,1,1,0,3", "--max-degree", "6"],
+    "torsion_primes_E6_mixed_ungraded_json": [
+        "torsion-primes", "--params", "1,-2,3,-4,5,-6", "--convention", "ungraded", "--max-degree", "6", "--json"
+    ],
     "hilbert_E_field7_json": ["hilbert", "--field", "7", "--json"],
     "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
     "order_rho_4_5": ["order", "--rho", "4,5"],
