@@ -1,9 +1,10 @@
 """Command-line front end with deterministic text and JSON reports.
 
 Each subcommand takes only the flags it reads; an unknown flag is a
-usage error.  Exit codes: 0 on success, 1 when a verification fails, 2
-on usage errors.  Long computations write per-step progress to stderr
-only, so stdout stays machine-parsable.
+usage error.  Exit codes: 0 on success, 1 when a verification fails or
+an internal check refuses the input, 2 on usage errors.  Long
+computations write per-step progress to stderr only, so stdout stays
+machine-parsable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 
 from . import numtheory
+from .count import HypothesisError
 from .freealg import CONVENTIONS, DEFAULT_CONVENTION, format_element, parse_element
 from .presentation import (
     AX_NUM_GENS,
@@ -318,6 +320,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except HypothesisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,8 +6,11 @@ the two-sided ideal is spanned by every product (left word) * relation *
 determined by the Smith normal form of the resulting integer matrix:
 free rank plus elementary divisors.
 
-All matrices, Smith forms, and modular ranks are memoized per relation
-set and degree, since the verification suites revisit them repeatedly.
+Torsion reports take their pieces from the closed-form count in `count`,
+which builds no matrix.  The matrices, Smith forms and modular ranks
+serve `graded_piece`, `dimension` and `element_order`, the independent
+oracle of that count; they are memoized per relation set and degree,
+since the verification suites revisit them repeatedly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from . import numtheory, snf
+from . import count, numtheory, snf
 from .freealg import Element, word_rank
 from .presentation import RelationSet, coeff_sequence
 
@@ -120,6 +123,18 @@ def element_order(e: Element, rels: RelationSet, n: int):
     return snf.order_in_quotient(matrix.rows, vector)
 
 
+def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
+    """Degrees 0..max_degree from the closed-form count, with no matrix.
+
+    Raises count.HypothesisError for a relation set the count does not
+    cover; `graded_piece` is the oracle it must agree with.
+    """
+    return [
+        GradedPiece(n, free, count.invariant_factors(orders))
+        for n, (free, orders) in enumerate(count.graded_counts(rels, max_degree))
+    ]
+
+
 @dataclass
 class TorsionReport:
     params_text: str
@@ -149,17 +164,18 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
     """Compare computed torsion primes against the recurrence prediction.
 
     Computed: prime factors of every elementary divisor in degrees up to
-    max_degree.  Predicted: primes dividing some nonzero a_m with
+    max_degree, with the pieces from the closed-form count (`count`;
+    `graded_piece` is its oracle).  Predicted: primes dividing some nonzero a_m with
     2 <= m <= max_degree - 1 (the relation a_m * rho(4, m+1) is expected
     to leave rho(4, m+1) with order a_m in degree m + 1).
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    pieces = [graded_piece(rels, n) for n in range(max_degree + 1)]
+    pieces = counted_pieces(rels, max_degree)
     computed: set[int] = set()
     for piece in pieces:
-        for d in piece.divisors:
-            computed.update(numtheory.factorize(d))
+        if piece.divisors:  # every divisor divides the last one
+            computed.update(numtheory.factorize(piece.divisors[-1]))
     predicted: set[int] = set()
     warnings = list(rels.warnings)
     for m, am, _ in coeff_sequence(rels.params, max(max_degree - 1, 2)):

@@ -3,7 +3,8 @@
 Each check returns a named pass/fail record; `run_verification` strings
 them together and also carries the sign-convention selection report.
 The suite enforces the module invariants: closed forms of the
-coefficient recurrence, two-oracle Smith-form agreement, element orders,
+coefficient recurrence, two-oracle Smith-form agreement, the closed-form
+count against the Smith form, element orders,
 divisor bookkeeping, ideal preservation by the derivations (with
 mutation probes), the twisted-tensor identities, the Poincare transform
 sanity cases, and the number-theoretic classification sweeps.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import sys
 
-from . import numtheory, snf
+from . import count, numtheory, snf
 from .action import DerivationSpec, check_preserves_ideal, select_convention
 from .freealg import CONVENTIONS, Element, GRADED, U1, U2, U3, V, W, X1, bracket, word_rank
 from .presentation import (
@@ -34,6 +35,7 @@ from .presentation import (
     tau,
 )
 from .quotient import (
+    counted_pieces,
     dimension,
     element_order,
     graded_piece,
@@ -250,6 +252,26 @@ def check_convention_comparison() -> dict:
     return {"name": "convention-comparison", "ok": True, "identical_graded_groups": identical}
 
 
+def check_count_oracle_agreement() -> dict:
+    """The closed-form count equals the Smith form at E <= 5 and AX <= 4.
+
+    Runs after the checks that compute these Smith forms, so it reads
+    them from the cache.
+    """
+    ok = True
+    for conv in CONVENTIONS:
+        for rels, top in (
+            (relation_set_E(THEOREM1_PARAMS, E_DEFAULT_DEGREE, conv), E_DEFAULT_DEGREE),
+            (relation_set_AX(THEOREM1_PARAMS, conv), AX_DEFAULT_DEGREE),
+        ):
+            try:
+                pieces = counted_pieces(rels, top)
+            except count.HypothesisError:
+                return {"name": "count-oracle-agreement", "ok": False}
+            ok = ok and pieces == [graded_piece(rels, n) for n in range(top + 1)]
+    return {"name": "count-oracle-agreement", "ok": ok}
+
+
 def check_relations_file(path: str) -> dict:
     """Re-parse an exported relation file and compare against construction."""
     try:
@@ -301,6 +323,7 @@ def run_verification(relations_path: str | None = None, quiet: bool = False) -> 
         check_census,
         check_theorem2_instances,
         check_convention_comparison,
+        check_count_oracle_agreement,
     ]
     if relations_path is not None:
         steps.append(check_given_relations_file)

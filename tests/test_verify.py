@@ -14,12 +14,12 @@ def test_checks_print_nothing_and_verification_reports_one_line_per_check(capsys
     # the progress lines are the only output, so every check itself is silent
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == len(report["checks"]) == 15
-    assert len(set(lines)) == 15
+    assert len(lines) == len(report["checks"]) == 16
+    assert len(set(lines)) == 16
     module_checks = {
         name for name, obj in vars(verify).items() if name.startswith("check_") and obj.__module__ == verify.__name__
     }
-    assert len(module_checks) == 14
+    assert len(module_checks) == 15
     labels = {name.removeprefix("check_").replace("_", " ") for name in module_checks - {"check_relations_file"}}
     assert labels <= set(lines)
     assert "given relations file" in lines
