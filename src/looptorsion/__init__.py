@@ -3,10 +3,10 @@
 The package builds the parameterized relation families presenting two
 graded algebras (an inner algebra E on six generators and a full
 algebra AX on eight), computes their degreewise abelian-group structure
-by a closed-form count and, as its oracle, by integer Smith normal form,
-relates the two through a derivation
-action, evaluates Hilbert and loop-space Poincare series, and classifies
-torsion primes by elementary number theory.
+by a closed-form count and, as its oracle, by integer Smith normal
+form, relates the two through a derivation action, evaluates Hilbert
+and loop-space Poincare series, and classifies torsion primes by
+elementary number theory.
 """
 
 from .freealg import (

@@ -67,7 +67,7 @@ def relation_shapes(rels: RelationSet) -> list[tuple[int, int]]:
             overlap = any(a[-k:] == b[:k] for k in range(1, min(len(a), len(b) + 1)))
             inside = i != j and any(b[s : s + len(a)] == a for s in range(len(b) - len(a) + 1))
             if overlap or inside:
-                raise HypothesisError(f"leading words of relations {tag_a} and {tag_b} overlap")
+                raise HypothesisError(f"leading words of relations {tag_a} and {tag_b} overlap or nest")
     return shapes
 
 

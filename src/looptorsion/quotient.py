@@ -165,9 +165,10 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
 
     Computed: prime factors of every elementary divisor in degrees up to
     max_degree, with the pieces from the closed-form count (`count`;
-    `graded_piece` is its oracle).  Predicted: primes dividing some nonzero a_m with
-    2 <= m <= max_degree - 1 (the relation a_m * rho(4, m+1) is expected
-    to leave rho(4, m+1) with order a_m in degree m + 1).
+    `graded_piece` is its oracle).  Predicted: primes dividing some
+    nonzero a_m with 2 <= m <= max_degree - 1 (the relation
+    a_m * rho(4, m+1) is expected to leave rho(4, m+1) with order a_m in
+    degree m + 1).
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")

@@ -4,10 +4,10 @@ Each check returns a named pass/fail record; `run_verification` strings
 them together and also carries the sign-convention selection report.
 The suite enforces the module invariants: closed forms of the
 coefficient recurrence, two-oracle Smith-form agreement, the closed-form
-count against the Smith form, element orders,
-divisor bookkeeping, ideal preservation by the derivations (with
-mutation probes), the twisted-tensor identities, the Poincare transform
-sanity cases, and the number-theoretic classification sweeps.
+count against the Smith form, element orders, divisor bookkeeping, ideal
+preservation by the derivations (with mutation probes), the
+twisted-tensor identities, the Poincare transform sanity cases, and the
+number-theoretic classification sweeps.
 
 The claimed always-torsion residue classes are deliberately NOT an
 invariant here: the census measures them and the report records the
