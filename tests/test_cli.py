@@ -140,6 +140,15 @@ def test_hilbert_accepts_fields_of_any_prime_size(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["Q", "7"])
+@pytest.mark.parametrize("algebra, degree", [("E", "-1"), ("AX", "-3")])
+def test_hilbert_negative_truncation_is_a_usage_error(capsys, algebra, degree, field):
+    assert main(["hilbert", "--algebra", algebra, "--max-degree", degree, "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation must be nonnegative\n"
+
+
 def test_order_rho(capsys):
     code, out = run_cli(capsys, "order", "--rho", "4,3", "--json")
     assert code == 0

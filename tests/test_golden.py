@@ -29,6 +29,12 @@ CASES = {
     ],
     "hilbert_E_field7_json": ["hilbert", "--field", "7", "--json"],
     "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
+    "hilbert_E6_field11": ["hilbert", "--field", "11", "--max-degree", "6"],
+    "hilbert_AX5_field29_ungraded_json": [
+        "hilbert", "--algebra", "AX", "--field", "29", "--max-degree", "5", "--convention", "ungraded", "--json"
+    ],
+    "hilbert_E6_mixed_field3": ["hilbert", "--params", "1,-2,3,-4,5,-6", "--field", "3", "--max-degree", "6"],
+    "hilbert_E_a2_zero_field2": ["hilbert", "--params", "0,1,1,1,0,3", "--field", "2"],
     "order_rho_4_5": ["order", "--rho", "4,5"],
     "order_AX_rho_4_4_json": ["order", "--algebra", "AX", "--rho", "4,4", "--json"],
     "classify_41_json": ["classify", "41", "--json"],
