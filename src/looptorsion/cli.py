@@ -27,8 +27,8 @@ from .presentation import (
     relation_set_E,
     rho,
 )
-from .quotient import element_order, torsion_primes_up_to
-from .series import dimension_series, format_series, roos_poincare, series_json
+from .quotient import counted_dimensions, element_order, torsion_primes_up_to
+from .series import PowerSeries, format_series, roos_poincare, series_json
 from .verify import AX_DEFAULT_DEGREE, E_DEFAULT_DEGREE, run_verification
 
 
@@ -131,8 +131,11 @@ def cmd_classify(args) -> int:
 def cmd_hilbert(args) -> int:
     params = _params_from(args)
     rels, maxdeg = _relations(args, params)
-    field = args.field if args.field == "Q" else int(args.field)
-    a_series = dimension_series(rels, field, maxdeg)
+    try:
+        field = args.field if args.field == "Q" else int(args.field)
+    except ValueError:
+        raise ValueError("--field must be Q or a prime") from None
+    a_series = PowerSeries.from_coeffs(counted_dimensions(rels, field, maxdeg))
     payload = {"algebra": args.algebra, "field": str(field), "A": series_json(a_series)}
     lines = [f"A(t) [{args.algebra}, field {field}] = {format_series(a_series)}"]
     if args.algebra == "AX":

@@ -30,6 +30,13 @@ content > 1 count: the sequence r_1..r_k contributes
 AX_n is isomorphic to the direct sum over i of 2^i copies of E_(n-i):
 the x1, x2 action identifies AX with Z<x1,x2> (x) E degreewise.
 
+Over F_p the quotient is the integer quotient tensored with F_p, because
+tensoring is right exact (the universal-coefficient step).  Z/g (x) F_p
+is F_p when p divides g and 0 otherwise, so the dimension in degree n is
+the free rank plus the number of cyclic summands whose order p divides;
+`quotient.counted_dimensions` reads it off the counts, and the rank of
+the degree matrix mod p (`quotient.dimension`) is its oracle.
+
 The count reads relation degrees, leading words and contents only, and
 shares no code with `snf`; `quotient.graded_piece`, the Smith normal
 form of the degree matrix, is its oracle.  A relation set that breaks a

@@ -6,11 +6,14 @@ the two-sided ideal is spanned by every product (left word) * relation *
 determined by the Smith normal form of the resulting integer matrix:
 free rank plus elementary divisors.
 
-Torsion reports take their pieces from the closed-form count in `count`,
-which builds no matrix.  The matrices, Smith forms and modular ranks
-serve `graded_piece`, `dimension` and `element_order`, the independent
-oracle of that count; they are memoized per relation set and degree,
-since the verification suites revisit them repeatedly.
+Torsion reports and dimension series take their pieces from the
+closed-form count in `count`, which builds no matrix.  Over F_p the
+quotient is the integer quotient tensored with F_p, since tensoring is
+right exact, so its dimension is the free rank plus the number of cyclic
+summands whose order p divides.  The matrices, Smith forms and modular
+ranks serve `graded_piece`, `dimension` and `element_order`, the
+independent oracle of that count; they are memoized per relation set and
+degree, since the verification suites revisit them repeatedly.
 """
 
 from __future__ import annotations
@@ -132,6 +135,26 @@ def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
     return [
         GradedPiece(n, free, count.invariant_factors(orders))
         for n, (free, orders) in enumerate(count.graded_counts(rels, max_degree))
+    ]
+
+
+def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
+    """Dimensions over Q ("Q") or F_p in degrees 0..max_degree, from the count.
+
+    Z/g tensored with F_p is F_p when p divides g and 0 otherwise.
+    Raises count.HypothesisError like `counted_pieces`; `dimension` is
+    the oracle it must agree with.
+    """
+    if max_degree < 0:
+        raise ValueError("truncation must be nonnegative")
+    if field == "Q":
+        return [free for free, _ in count.graded_counts(rels, max_degree)]
+    p = int(field)
+    if not numtheory.is_prime(p):
+        raise ValueError(f"field characteristic {p} is not prime")
+    return [
+        free + sum(mult for g, mult in orders.items() if g % p == 0)
+        for free, orders in count.graded_counts(rels, max_degree)
     ]
 
 

@@ -1,11 +1,14 @@
 """Truncated power series and the loop-space Poincare transform.
 
 Coefficients are exact rationals throughout; no floating point enters
-anywhere in the package.  Dimension series of the presented algebras are
-computed per degree from the quotient machinery and fed through the
-transform P(t)^-1 = (1+t)*A(t)^-1 - t + g2*t^2 - r4*t^3, whose constants
-g2 and r4 count the degree-2 wedge summands and degree-4 attaching cells
-of the underlying complex (8 and 13 for the reference construction).
+anywhere in the package.  Dimension series of the presented algebras
+are fed through the transform P(t)^-1 = (1+t)*A(t)^-1 - t + g2*t^2 -
+r4*t^3, whose constants g2 and r4 count the degree-2 wedge summands and
+degree-4 attaching cells of the underlying complex (8 and 13 for the
+reference construction).  The `hilbert` command builds its series from
+the closed-form count (`quotient.counted_dimensions`);
+`dimension_series` computes one degree at a time from the rank of the
+degree matrix and is that count's oracle.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from .presentation import (
     tau,
 )
 from .quotient import (
+    counted_dimensions,
     counted_pieces,
     dimension,
     element_order,
@@ -253,10 +254,12 @@ def check_convention_comparison() -> dict:
 
 
 def check_count_oracle_agreement() -> dict:
-    """The closed-form count equals the Smith form at E <= 5 and AX <= 4.
+    """The closed-form count equals its oracles at E <= 5 and AX <= 4.
 
-    Runs after the checks that compute these Smith forms, so it reads
-    them from the cache.
+    The counted pieces equal the Smith form, and the counted dimensions
+    over F_13 and F_11 equal the mod-p rank.  Runs after the checks that
+    compute the Smith forms and most of these ranks, so it reads them
+    from the cache.
     """
     ok = True
     for conv in CONVENTIONS:
@@ -266,9 +269,12 @@ def check_count_oracle_agreement() -> dict:
         ):
             try:
                 pieces = counted_pieces(rels, top)
+                dims = {p: counted_dimensions(rels, p, top) for p in (13, 11)}
             except count.HypothesisError:
                 return {"name": "count-oracle-agreement", "ok": False}
             ok = ok and pieces == [graded_piece(rels, n) for n in range(top + 1)]
+            for p, counted in dims.items():
+                ok = ok and counted == [dimension(rels, n, p) for n in range(top + 1)]
     return {"name": "count-oracle-agreement", "ok": ok}
 
 

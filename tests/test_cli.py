@@ -149,6 +149,13 @@ def test_hilbert_negative_truncation_is_a_usage_error(capsys, algebra, degree, f
     assert captured.err == "error: truncation must be nonnegative\n"
 
 
+def test_hilbert_field_that_is_not_a_number_is_a_usage_error(capsys):
+    assert main(["hilbert", "--field", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --field must be Q or a prime\n"
+
+
 def test_order_rho(capsys):
     code, out = run_cli(capsys, "order", "--rho", "4,3", "--json")
     assert code == 0

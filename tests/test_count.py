@@ -1,8 +1,9 @@
-"""The closed-form count against its oracle, the Smith normal form."""
+"""The closed-form count against its oracles, the Smith normal form and the mod-p rank."""
 
 from __future__ import annotations
 
 import ast
+import functools
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptorsion import cli, count
+from looptorsion import cli, count, quotient, snf
 from looptorsion.freealg import CONVENTIONS, GRADED, U1, U2, U4, W, Element
 from looptorsion.presentation import (
     Params,
@@ -21,7 +22,7 @@ from looptorsion.presentation import (
     relation_set_AX,
     relation_set_E,
 )
-from looptorsion.quotient import counted_pieces, graded_piece, torsion_primes_up_to
+from looptorsion.quotient import counted_dimensions, counted_pieces, dimension, graded_piece, torsion_primes_up_to
 
 FAMILIES = [
     THEOREM1_PARAMS,
@@ -62,6 +63,51 @@ def test_count_matches_smith_form_on_random_params(params, conv):
     assert counted_pieces(rels, 4) == snf_pieces(rels, 4)
     ax = relation_set_AX(params, conv)
     assert counted_pieces(ax, 3) == snf_pieces(ax, 3)
+
+
+FIELDS = ["Q", 2, 3, 5, 7, 11, 13, 29, 83]
+
+
+def rank_dimensions(rels, field, top):
+    return [dimension(rels, n, field) for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("params", FAMILIES, ids=str)
+def test_counted_dimensions_match_the_rank_at_E5_and_AX4(params, conv):
+    rels = relation_set_E(params, 5, conv)
+    ax = relation_set_AX(params, conv)
+    for field in FIELDS:
+        assert counted_dimensions(rels, field, 5) == rank_dimensions(rels, field, 5)
+        assert counted_dimensions(ax, field, 4) == rank_dimensions(ax, field, 4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(*[st.integers(-6, 6)] * 6).map(lambda t: Params(*t)),
+    st.sampled_from(CONVENTIONS),
+    st.sampled_from(FIELDS),
+)
+def test_counted_dimensions_match_the_rank_on_random_params(params, conv, field):
+    rels = relation_set_E(params, 4, conv)
+    assert counted_dimensions(rels, field, 4) == rank_dimensions(rels, field, 4)
+    ax = relation_set_AX(params, conv)
+    assert counted_dimensions(ax, field, 3) == rank_dimensions(ax, field, 3)
+
+
+def test_hilbert_builds_no_matrix(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("hilbert built or reduced a matrix")
+
+    monkeypatch.setattr(snf, "rank_mod_p", refuse)
+    monkeypatch.setattr(snf, "smith_normal_form", refuse)
+    monkeypatch.setattr(quotient, "ideal_spanning_matrix", refuse)
+    for name in ("smith_invariants", "_rank_mod_p"):  # empty caches, so no earlier result is read back
+        monkeypatch.setattr(quotient, name, functools.cache(getattr(quotient, name).__wrapped__))
+    for algebra in ("E", "AX"):
+        for field in ("Q", "11"):
+            assert cli.main(["hilbert", "--algebra", algebra, "--field", field]) == 0
+            assert capsys.readouterr().out.startswith(f"A(t) [{algebra}, field {field}] = 1 + ")
 
 
 def test_free_ranks_to_degree_16_follow_the_rational_series():
