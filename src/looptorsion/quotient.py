@@ -6,14 +6,12 @@ the two-sided ideal is spanned by every product (left word) * relation *
 determined by the Smith normal form of the resulting integer matrix:
 free rank plus elementary divisors.
 
-Torsion reports and dimension series take their pieces from the
-closed-form count in `count`, which builds no matrix.  Over F_p the
-quotient is the integer quotient tensored with F_p, since tensoring is
-right exact, so its dimension is the free rank plus the number of cyclic
-summands whose order p divides.  The matrices, Smith forms and modular
-ranks serve `graded_piece`, `dimension` and `element_order`, the
-independent oracle of that count; they are memoized per relation set and
-degree, since the verification suites revisit them repeatedly.
+Torsion reports and the `hilbert` dimensions (`counted_pieces`,
+`counted_dimensions`) come from the closed-form count in `count`, which
+builds no matrix.  The matrices, Smith forms and modular ranks serve
+`graded_piece`, `dimension` and `element_order`, the independent oracle
+of that count; they are memoized per relation set and degree, since the
+verification suites revisit them repeatedly.
 """
 
 from __future__ import annotations
@@ -141,9 +139,10 @@ def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
 def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
     """Dimensions over Q ("Q") or F_p in degrees 0..max_degree, from the count.
 
-    Z/g tensored with F_p is F_p when p divides g and 0 otherwise.
-    Raises count.HypothesisError like `counted_pieces`; `dimension` is
-    the oracle it must agree with.
+    Tensoring is right exact, so over F_p the quotient is the integer
+    quotient tensored with F_p, and Z/g tensored with F_p is F_p when p
+    divides g and 0 otherwise.  Raises count.HypothesisError like
+    `counted_pieces`; `dimension` is the oracle it must agree with.
     """
     if max_degree < 0:
         raise ValueError("truncation must be nonnegative")
