@@ -157,11 +157,12 @@ def test_count_refuses_an_AX_set_that_is_not_the_generated_one():
 def test_cli_reports_a_refused_set_as_an_error_with_exit_1(bad, monkeypatch, capsys):
     build = cli.relation_set_E
     monkeypatch.setattr(cli, "relation_set_E", lambda *args: mutated(build(*args), bad))
-    assert cli.main(["torsion-primes", "--max-degree", "4"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and bad.tag in captured.err
-    assert "Traceback" not in captured.err
+    for command in (["torsion-primes"], ["hilbert", "--field", "11"]):
+        assert cli.main([*command, "--max-degree", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and bad.tag in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_count_shares_no_code_with_the_smith_form():
