@@ -6,17 +6,9 @@ those coefficients assemble the relation families presenting the two
 graded algebras.
 """
 
-from looptorsion import (
-    THEOREM1_PARAMS,
-    coeff_sequence,
-    format_element,
-    relation_set_AX,
-    relation_set_E,
-    rho,
-    sigma,
-    tau,
-)
+from looptorsion.freealg import format_element
 from looptorsion.numtheory import theorem2_params
+from looptorsion.presentation import THEOREM1_PARAMS, coeff_sequence, relation_set_AX, relation_set_E, rho, sigma, tau
 
 print("reference parameters:", THEOREM1_PARAMS)
 print()

@@ -7,7 +7,6 @@ stable, and why the full algebra decomposes degreewise as the free
 algebra on x1, x2 tensored with the inner algebra.
 """
 
-from looptorsion import THEOREM1_PARAMS, coeff_sequence, format_element, relation_set_E, rho, tau
 from looptorsion.action import (
     DerivationSpec,
     act,
@@ -15,7 +14,8 @@ from looptorsion.action import (
     select_convention,
     semi_tensor_dimension_check,
 )
-from looptorsion.freealg import Element, U1, U3, V, X1, X2, bracket
+from looptorsion.freealg import Element, U1, U3, V, X1, X2, bracket, format_element
+from looptorsion.presentation import THEOREM1_PARAMS, coeff_sequence, relation_set_E, rho, tau
 
 spec = DerivationSpec(THEOREM1_PARAMS, "graded")
 print("Generator images (c = -3 for the reference parameters):")

@@ -17,7 +17,9 @@ from . import numtheory
 from .count import HypothesisError
 from .freealg import CONVENTIONS, DEFAULT_CONVENTION, format_element, parse_element
 from .presentation import (
+    AX_DEFAULT_DEGREE,
     AX_NUM_GENS,
+    E_DEFAULT_DEGREE,
     E_NUM_GENS,
     Params,
     THEOREM1_PARAMS,
@@ -29,18 +31,23 @@ from .presentation import (
 )
 from .quotient import counted_dimensions, element_order, torsion_primes_up_to
 from .series import PowerSeries, format_series, roos_poincare, series_json
-from .verify import AX_DEFAULT_DEGREE, E_DEFAULT_DEGREE, run_verification
+
+
+def _integers(text: str, count: int, usage: str) -> list[int]:
+    """Exactly `count` comma-separated integers from a flag's value; `usage` is the error otherwise."""
+    values = [int(x) for x in text.split(",")] if text else []
+    if len(values) != count:
+        raise ValueError(usage)
+    return values
 
 
 def _params_from(args) -> Params:
-    if args.params and args.theorem2:
+    # an empty value is given, not absent: "--params=" is refused, "--theorem2=" excludes no prime
+    if args.params is not None and args.theorem2 is not None:
         raise ValueError("--params and --theorem2 are mutually exclusive")
-    if args.params:
-        values = [int(x) for x in args.params.split(",")]
-        if len(values) != 6:
-            raise ValueError("--params needs exactly six integers")
-        return Params(*values)
-    if args.theorem2:
+    if args.params is not None:
+        return Params(*_integers(args.params, 6, "--params needs exactly six integers"))
+    if args.theorem2 is not None:
         primes = [int(x) for x in args.theorem2.split(",") if x]
         return numtheory.theorem2_params(primes)
     return THEOREM1_PARAMS
@@ -154,8 +161,8 @@ def cmd_order(args) -> int:
     params = _params_from(args)
     if (args.rho is None) == (args.element is None):
         raise ValueError("give exactly one of --rho I,M or --element TEXT")
-    if args.rho:
-        i, m = (int(x) for x in args.rho.split(","))
+    if args.rho is not None:
+        i, m = _integers(args.rho, 2, "--rho needs I,M")
         elem = rho(i, m, args.convention)
         label = f"rho({i},{m})"
     else:
@@ -233,6 +240,8 @@ def cmd_export_relations(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification  # here, so that no other command loads the suite and `action`
+
     report = run_verification(relations_path=args.relations, quiet=args.json and not args.out)
     if args.json:
         _emit_json(args, report)
@@ -261,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     params.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
     params.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
     degree = argparse.ArgumentParser(add_help=False)
-    degree.add_argument("--max-degree", type=int, help="truncation degree (default: 5 for E, 4 for AX)")
+    degree.add_argument(
+        "--max-degree",
+        type=int,
+        help=f"truncation degree (default: {E_DEFAULT_DEGREE} for E, {AX_DEFAULT_DEGREE} for AX)",
+    )
     algebra = argparse.ArgumentParser(add_help=False)
     algebra.add_argument("--algebra", choices=("E", "AX"), default="E", help="which presented algebra")
     algebra.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)

@@ -173,11 +173,6 @@ class Element:
         return f"Element({format_element(self)!r})"
 
 
-def multiply(f: Element, g: Element) -> Element:
-    """Bilinear concatenation product of two elements."""
-    return f * g
-
-
 def bracket(f: Element, g: Element, convention: str = DEFAULT_CONVENTION) -> Element:
     """Commutator of two homogeneous elements under the given convention.
 

@@ -37,6 +37,9 @@ from .freealg import (
 
 E_NUM_GENS = 6
 AX_NUM_GENS = 8
+#: Truncation degrees the commands use when no --max-degree is given.
+E_DEFAULT_DEGREE = 5
+AX_DEFAULT_DEGREE = 4
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from . import count, numtheory, snf
 from .action import DerivationSpec, check_preserves_ideal, select_convention
 from .freealg import CONVENTIONS, Element, GRADED, U1, U2, U3, V, W, X1, bracket, word_rank
 from .presentation import (
+    AX_DEFAULT_DEGREE,
+    E_DEFAULT_DEGREE,
     E_NUM_GENS,
     Params,
     THEOREM1_PARAMS,
@@ -44,9 +46,6 @@ from .quotient import (
     torsion_primes_up_to,
 )
 from .series import PowerSeries, dimension_series, invert_series, roos_poincare
-
-E_DEFAULT_DEGREE = 5
-AX_DEFAULT_DEGREE = 4
 
 
 def check_recurrence_closed_forms() -> dict:

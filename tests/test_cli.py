@@ -175,6 +175,25 @@ def test_order_needs_exactly_one_selector(capsys):
     assert main(["order", "--rho", "4,3", "--element", "1*u1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["4", "4,3,2", ""])
+def test_order_rho_needs_two_integers(capsys, value):
+    assert main(["order", "--rho", value]) == 2
+    assert capsys.readouterr().err == "error: --rho needs I,M\n"
+
+
+def test_empty_params_flags_are_given_not_absent(capsys):
+    assert main(["recurrence", "3", "--params="]) == 2
+    assert capsys.readouterr().err == "error: --params needs exactly six integers\n"
+    assert main(["recurrence", "3", "--params=", "--theorem2=7"]) == 2
+    assert capsys.readouterr().err == "error: --params and --theorem2 are mutually exclusive\n"
+    # an empty --theorem2 excludes no prime, as the theorem2 subcommand reads an empty list
+    _, out = run_cli(capsys, "theorem2", "", "--bound", "3", "--json")
+    excluded_none = json.loads(out)["params"]
+    code, out = run_cli(capsys, "recurrence", "3", "--theorem2=", "--json")
+    assert code == 0
+    assert json.loads(out)["params"] == excluded_none
+
+
 def test_census_json_schema(capsys):
     code, out = run_cli(capsys, "census", "200", "--json")
     assert code == 0
@@ -324,6 +343,24 @@ def test_cli_import_loads_no_numpy():
         env=env,
         check=True,
     )
+
+
+def loaded_submodules(statement):
+    """The looptorsion submodules a fresh interpreter holds after running `statement`."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    script = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.startswith('looptorsion.')))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_submodules("import looptorsion") == set()
+
+
+def test_cli_import_loads_neither_verify_nor_action():
+    loaded = loaded_submodules("import looptorsion.cli")
+    assert "looptorsion.cli" in loaded
+    assert not loaded & {"looptorsion.verify", "looptorsion.action"}
 
 
 def test_torsion_primes_with_divisor_beyond_seven_bases(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,17 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_quick_start_prints_what_its_comments_claim():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    (snippet,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", snippet], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    piece, order, primes = done.stdout.splitlines()
+    assert piece.startswith("GradedPiece(degree=4, free_rank=1163, divisors=(11, ")
+    assert piece.endswith(", 319))")
+    assert order == "11"
+    assert primes == "[11, 29, 83]"
