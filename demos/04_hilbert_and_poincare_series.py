@@ -10,35 +10,28 @@ turns the full algebra's series into loop-space Betti numbers.
 """
 
 from looptorsion.presentation import THEOREM1_PARAMS, relation_set_AX, relation_set_E
-from looptorsion.quotient import counted_dimensions, graded_piece
-from looptorsion.series import (
-    PowerSeries,
-    dimension_series,
-    format_series,
-    invert_series,
-    roos_poincare,
-)
+from looptorsion.quotient import counted_dimensions, dimension, graded_piece
+from looptorsion.series import format_series, invert_series, roos_poincare
 
 rels_e = relation_set_E(THEOREM1_PARAMS, 5)
 print("Inner algebra dimension series (truncated at degree 5), from the rank")
 print("of each degree matrix and from the closed-form count that `hilbert` reads:")
 for field in ("Q", 11, 13):
-    series = dimension_series(rels_e, field, 5)
-    counted = PowerSeries.from_coeffs(counted_dimensions(rels_e, field, 5))
+    series = [dimension(rels_e, n, field) for n in range(6)]
+    counted = counted_dimensions(rels_e, field, 5)
     print(f"  over {str(field):>2}, rank:  {format_series(series)}")
     print(f"  over {str(field):>2}, count: {format_series(counted)}  (equal: {counted == series})")
 print()
 
 print("The F_11 jumps match the 11-divisor counts degree by degree:")
-q_series = dimension_series(rels_e, "Q", 5)
-f11 = dimension_series(rels_e, 11, 5)
 for n in range(6):
     drop = sum(1 for d in graded_piece(rels_e, n).divisors if d % 11 == 0)
-    print(f"  degree {n}: dim_Q = {int(q_series[n]):4d}, dim_F11 = {int(f11[n]):4d}, divisors with 11: {drop}")
+    dim_q, dim_f11 = dimension(rels_e, n, "Q"), dimension(rels_e, n, 11)
+    print(f"  degree {n}: dim_Q = {dim_q:4d}, dim_F11 = {dim_f11:4d}, divisors with 11: {drop}")
 print()
 
 rels_ax = relation_set_AX(THEOREM1_PARAMS)
-a13 = dimension_series(rels_ax, 13, 4)
+a13 = [dimension(rels_ax, n, 13) for n in range(5)]
 p13 = roos_poincare(a13)
 print("Full algebra over F_13 and the loop-space series:")
 print("  A(t) =", format_series(a13))
@@ -47,7 +40,7 @@ print("  (13 divides no elementary divisor through degree 4, so A agrees with")
 print("   the rational series, and here P happens to coincide with A.)")
 print()
 
-free = invert_series(PowerSeries.from_coeffs([1, -8], truncation=4))
+free = invert_series([1, -8, 0, 0, 0])
 print("Sanity case, the free algebra on 8 generators:")
 print("  A(t) =", format_series(free))
 print("  P(t) =", format_series(roos_poincare(free)))

@@ -30,7 +30,7 @@ from .presentation import (
     rho,
 )
 from .quotient import counted_dimensions, element_order, torsion_primes_up_to
-from .series import PowerSeries, format_series, roos_poincare, series_json
+from .series import G2, R4, format_series, roos_poincare, series_json
 
 
 def _integers(text: str, count: int, usage: str) -> list[int]:
@@ -142,14 +142,13 @@ def cmd_hilbert(args) -> int:
         field = args.field if args.field == "Q" else int(args.field)
     except ValueError:
         raise ValueError("--field must be Q or a prime") from None
-    a_series = PowerSeries.from_coeffs(counted_dimensions(rels, field, maxdeg))
+    a_series = counted_dimensions(rels, field, maxdeg)
     payload = {"algebra": args.algebra, "field": str(field), "A": series_json(a_series)}
     lines = [f"A(t) [{args.algebra}, field {field}] = {format_series(a_series)}"]
     if args.algebra == "AX":
-        g2, r4 = rels.num_gens, len(rels.relations)  # one 2-cell per generator, one 4-cell per relation
-        p_series = roos_poincare(a_series, g2, r4)
+        p_series = roos_poincare(a_series)
         payload["P"] = series_json(p_series)
-        lines.append(f"P(t) [loop space, g2={g2}, r4={r4}] = {format_series(p_series)}")
+        lines.append(f"P(t) [loop space, g2={G2}, r4={R4}] = {format_series(p_series)}")
     if args.json:
         _emit_json(args, payload)
     else:

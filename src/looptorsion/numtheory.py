@@ -154,9 +154,9 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _require_prime(p: int, what: str = "p") -> None:
+def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"{what} = {p} is not prime")
+        raise ValueError(f"p = {p} is not prime")
 
 
 def sieve_primes(bound: int) -> list[int]:
@@ -385,7 +385,7 @@ def divides_some_am(params: Params, q: int) -> int | None:
     one period.  Every m is visited in order, so the first zero gives the
     least m; when the saved state comes back first, no a_m is 0 mod q.
     """
-    _require_prime(q, "q")
+    _require_prime(q)
     return _first_zero_of_am(params, q)
 
 

@@ -1,115 +1,49 @@
-"""Truncated power series and the loop-space Poincare transform.
+"""Truncated integer power series and the loop-space Poincare transform.
 
-Coefficients are exact rationals throughout; no floating point enters
-anywhere in the package.  Dimension series of the presented algebras
-are fed through the transform P(t)^-1 = (1+t)*A(t)^-1 - t + g2*t^2 -
-r4*t^3, whose constants g2 and r4 count the degree-2 wedge summands and
-degree-4 attaching cells of the underlying complex (8 and 13 for the
-reference construction).  The `hilbert` command builds its series from
-the closed-form count (`quotient.counted_dimensions`);
-`dimension_series` computes one degree at a time from the rank of the
-degree matrix and is that count's oracle.
+A series is a list of ints, truncated at degree len(s) - 1.  Every
+dimension series the package forms is integral with constant term 1, so
+its inverse and the transform P(t)^-1 = (1+t)*A(t)^-1 - t + G2*t^2 -
+R4*t^3 stay integral; no floating point enters anywhere in the package.
+The `hilbert` command builds A(t) from the closed-form count
+(`quotient.counted_dimensions`); `quotient.dimension` computes one
+degree from the rank of the degree matrix and is that count's oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .quotient import dimension
-from .presentation import RelationSet
+# The degree-2 wedge summands and degree-4 attaching cells of the complex
+# behind AX: one 2-cell per generator (8) and one 4-cell per relation (13).
+G2, R4 = 8, 13
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """A power series truncated at degree len(coefficients) - 1."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @classmethod
-    def from_coeffs(cls, values, truncation: int | None = None) -> "PowerSeries":
-        coeffs = [Fraction(v) for v in values]
-        if truncation is not None:
-            coeffs = coeffs[: truncation + 1]
-            coeffs += [Fraction(0)] * (truncation + 1 - len(coeffs))
-        if not coeffs:
-            raise ValueError("a power series needs at least the constant term")
-        return cls(tuple(coeffs))
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coefficients[n]
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation, other.truncation)
-        out = [Fraction(0)] * (n + 1)
-        for i, ci in enumerate(self.coefficients[: n + 1]):
-            if not ci:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coefficients[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return PowerSeries(tuple(out))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients)
-
-
-def invert_series(s: PowerSeries) -> PowerSeries:
+def invert_series(s: list[int]) -> list[int]:
     """Multiplicative inverse up to the truncation; needs constant term 1."""
-    if s[0] != 1:
+    if not s or s[0] != 1:
         raise ValueError("series inversion requires constant term 1")
-    n = s.truncation
-    out = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if s[i]:
-                acc += s[i] * out[k - i]
-        out[k] = -acc
-    return PowerSeries(tuple(out))
+    out = [1] + [0] * (len(s) - 1)
+    for k in range(1, len(s)):
+        out[k] = -sum(s[i] * out[k - i] for i in range(1, k + 1))
+    return out
 
 
-def dimension_series(rels: RelationSet, field, truncation: int) -> PowerSeries:
-    """Graded dimensions of the quotient over Q ("Q") or over F_p.
+def roos_poincare(a: list[int]) -> list[int]:
+    """Loop-space Poincare series from the AX dimension series A(t).
 
-    Coefficient n is g^n minus the rank of the degree-n relation matrix
-    over the chosen field.
+    Inverts (1+t) * A(t)^-1 - t + G2*t^2 - R4*t^3; refuses A(0) != 1.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
-    return PowerSeries.from_coeffs([dimension(rels, n, field) for n in range(truncation + 1)])
+    rhs = invert_series(a)
+    for k in range(len(rhs) - 1, 0, -1):  # multiply by (1 + t) in place
+        rhs[k] += rhs[k - 1]
+    for k, c in ((1, -1), (2, G2), (3, -R4)):
+        if k < len(rhs):
+            rhs[k] += c
+    return invert_series(rhs)
 
 
-def roos_poincare(a_series: PowerSeries, g2: int = 8, r4: int = 13) -> PowerSeries:
-    """Loop-space Poincare series from the algebra dimension series.
-
-    Inverts (1+t) * A(t)^-1 - t + g2*t^2 - r4*t^3; rejects a right-hand
-    side whose constant term is not 1 (equivalently A(0) != 1).
-    """
-    n = a_series.truncation
-    rhs = list(invert_series(a_series).coefficients)
-    for k in range(n, 0, -1):  # multiply by (1 + t) in place
-        rhs[k] = rhs[k] + rhs[k - 1]
-    if n >= 1:
-        rhs[1] -= 1
-    if n >= 2:
-        rhs[2] += g2
-    if n >= 3:
-        rhs[3] -= r4
-    if rhs[0] != 1:
-        raise ValueError("transform is only invertible when the constant term is 1")
-    return invert_series(PowerSeries(tuple(rhs)))
-
-
-def format_series(s: PowerSeries) -> str:
+def format_series(s: list[int]) -> str:
     """Deterministic text form, e.g. "1 + 8 t + 64 t^2"."""
     parts = []
-    for n, c in enumerate(s.coefficients):
+    for n, c in enumerate(s):
         if c == 0:
             continue
         if n == 0:
@@ -121,7 +55,6 @@ def format_series(s: PowerSeries) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def series_json(s: PowerSeries) -> dict:
-    """JSON form: integer coefficients stay ints, others become "p/q"."""
-    coeffs = [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in s.coefficients]
-    return {"truncation": s.truncation, "coefficients": coeffs}
+def series_json(s: list[int]) -> dict:
+    """JSON form: the truncation degree and the integer coefficients."""
+    return {"truncation": len(s) - 1, "coefficients": list(s)}

@@ -111,6 +111,13 @@ def test_classify_rejects_composite(capsys):
     assert main(["classify", "15"]) == 2
 
 
+def test_classify_names_a_refused_prime_p_in_both_modes(capsys):
+    for argv in (["classify", "4"], ["classify", "4", "--params", "1,2,3,4,5,6"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: p = 4 is not prime\n", argv
+
+
 def test_hilbert_json_schema(capsys):
     code, out = run_cli(capsys, "hilbert", "--algebra", "AX", "--field", "13", "--max-degree", "3", "--json")
     assert code == 0
@@ -345,22 +352,22 @@ def test_cli_import_loads_no_numpy():
     )
 
 
-def loaded_submodules(statement):
-    """The looptorsion submodules a fresh interpreter holds after running `statement`."""
+def loaded_modules(statement):
+    """The modules a fresh interpreter holds after running `statement`."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    script = f"import sys; {statement}; print(*sorted(m for m in sys.modules if m.startswith('looptorsion.')))"
+    script = f"import sys; {statement}; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     return set(done.stdout.split())
 
 
 def test_package_import_loads_no_submodule():
-    assert loaded_submodules("import looptorsion") == set()
+    assert not {m for m in loaded_modules("import looptorsion") if m.startswith("looptorsion.")}
 
 
 def test_cli_import_loads_neither_verify_nor_action():
-    loaded = loaded_submodules("import looptorsion.cli")
+    loaded = loaded_modules("import looptorsion.cli")
     assert "looptorsion.cli" in loaded
-    assert not loaded & {"looptorsion.verify", "looptorsion.action"}
+    assert not loaded & {"looptorsion.verify", "looptorsion.action", "fractions", "decimal"}
 
 
 def test_torsion_primes_with_divisor_beyond_seven_bases(capsys):

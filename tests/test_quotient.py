@@ -159,6 +159,8 @@ def test_dimension_rejects_composite_fields():
     rels = relation_set_E(THEOREM1_PARAMS, 3, GRADED)
     with pytest.raises(ValueError, match="77"):
         dimension(rels, 3, 77)
+    with pytest.raises(ValueError, match="characteristic 4 "):
+        dimension(rels, 2, 4)
     with pytest.raises(ValueError, match="35"):
         semi_tensor_dimension_check(THEOREM1_PARAMS, 35, 3, GRADED)
     with pytest.raises(ValueError, match=str((1 << 61) + 9)):
