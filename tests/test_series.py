@@ -52,6 +52,14 @@ def test_dimension_series_inner_algebra():
     assert dimension(rels, 3, 11) == 203
 
 
+def test_dimension_series_rejects_bad_fields():
+    rels = relation_set_E(THEOREM1_PARAMS, 2, "graded")
+    with pytest.raises(ValueError):
+        [dimension(rels, n, 4) for n in range(3)]
+    with pytest.raises(ValueError):
+        [dimension(rels, n, (1 << 61) + 9) for n in range(3)]
+
+
 def test_rank_drop_matches_divisors():
     rels = relation_set_E(THEOREM1_PARAMS, 4, "graded")
     for p in (5, 11, 13, 29):
