@@ -41,6 +41,7 @@ CASES = {
     "classify_103": ["classify", "103"],
     "classify_2": ["classify", "2"],
     "census_1000": ["census", "1000"],
+    "census_20000_json": ["census", "20000", "--json"],
     "theorem2_7_bound60_json": ["theorem2", "7", "--bound", "60", "--json"],
     "theorem2_7_bound60": ["theorem2", "7", "--bound", "60"],
     "export_relations_E": ["export-relations"],

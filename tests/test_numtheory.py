@@ -11,6 +11,11 @@ from looptorsion import numtheory as nt
 from looptorsion.presentation import Params, THEOREM1_PARAMS, coeff_sequence
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 25, 1000, 10**5])
+def test_sieve_primes_matches_sympy(bound):
+    assert nt.sieve_primes(bound) == list(sympy.primerange(bound))
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(2, 30):
@@ -276,6 +281,13 @@ def test_census_verdicts_match_power_walk_prime_by_prime():
         assert (row.count, row.torsion) == (len(members), sum(walked[p] for p in members))
         if row.expectation is not None:
             assert row.discrepancies == [p for p in members if walked[p] != (row.expectation == "torsion")]
+
+
+def test_census_100k_matches_readme_table(census_100k):
+    # README's caveat table, column "torsion below 10^5": class -> (torsion, count)
+    table = {5: (1107, 1206), 7: (855, 1205), 17: (1102, 1203), 19: (833, 1205), 13: (0, 1193), 23: (0, 1194)}
+    by_class = {row.residue: (row.torsion, row.count) for row in census_100k}
+    assert {r: by_class[r] for r in table} == table
 
 
 @settings(max_examples=200, deadline=None, database=None)
