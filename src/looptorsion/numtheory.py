@@ -8,10 +8,15 @@ For the reference parameter family a prime p is a torsion prime iff
   non-torsion, because 3 is then a quadratic residue while -2 is not,
   so -2 cannot be a power of 3;
 * the order test plus discrete log (decides, and finds the witness):
-  -2 lies in <3> iff (-2)^ord_p(3) = 1 mod p; when it does, the least
-  witness is the discrete log of -2 to base 3, found by Pohlig-Hellman
-  over the factored ord_p(3) with baby-step giant-step in each
-  prime-order step.  `census` and `classify_prime_theorem1` use it;
+  -2 lies in <3> iff (-2)^ord_p(3) = 1 mod p.  ord_p(3) is p - 1 with
+  each prime factor removed while 3 to the reduced exponent stays 1;
+  the first halving is decided by (3/p), which quadratic reciprocity
+  reads from p mod 12, and when ord_p(3) = p - 1 Fermat answers yes
+  with no further power (`_minus2_in_powers_of_3`).  When -2 is in
+  <3>, the least witness is the discrete log of -2 to base 3, found by
+  Pohlig-Hellman over the factored ord_p(3) with baby-step giant-step
+  in each prime-order step.  `census` and `classify_prime_theorem1`
+  share this one test; they differ only in how p - 1 is factored;
 * the power walk and the recurrence walk (the oracle): walk the powers
   of 3 mod p until the cycle closes (`power_witness`), or the
   coefficient recurrence mod p for arbitrary parameters until its state
@@ -25,7 +30,9 @@ which would make the classes 5, 7, 17, 19 mod 24 always solvable, is
 *not* sound and is never used as a decision rule here; the census
 records it as an expectation and reports every prime that contradicts
 it (the smallest offenders are p = 103 in class 7 and p = 41 in
-class 17).
+class 17).  The order test's use of (3/p) is not that heuristic: a
+non-residue fixes only the 2-part of ord_p(3), and every odd prime
+factor of p - 1 is still tested by a power.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -168,25 +175,16 @@ def sieve_primes(bound: int) -> list[int]:
     for i in range(2, int(bound**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i in range(bound) if flags[i]]
+    return list(itertools.compress(range(bound), flags))
 
 
 def _smallest_prime_factors(bound: int, primes: list[int]) -> array:
-    """spf[n] = the least prime dividing n, for 2 <= n < bound, given the primes below bound."""
+    """spf[n] = the least prime dividing n, for 2 <= n < bound, given the primes up to sqrt(bound) in order."""
     spf = array("I", range(bound))
     # descending, so that each smaller prime overwrites the larger ones
     for p in reversed(primes[: bisect_right(primes, isqrt(bound - 1))]):
         spf[p * p :: p] = array("I", [p]) * len(range(p * p, bound, p))
     return spf
-
-
-def _factor_by_spf(n: int, spf: array) -> dict[int, int]:
-    out: dict[int, int] = {}
-    while n > 1:
-        q = spf[n]
-        out[q] = out.get(q, 0) + 1
-        n //= q
-    return out
 
 
 _SMALL_PRIMES = sieve_primes(10_000)
@@ -247,19 +245,6 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def _order_factorization(a: int, p: int, group: dict[int, int]) -> dict[int, int]:
-    """ord_p(a) as {prime: exponent}, given p - 1 factored as group."""
-    order = p - 1
-    out: dict[int, int] = {}
-    for q, k in group.items():
-        while k and pow(a, order // q, p) == 1:
-            order //= q
-            k -= 1
-        if k:
-            out[q] = k
-    return out
-
-
 def _baby_step_giant_step(g: int, h: int, n: int, p: int) -> int:
     """The x in [0, n) with g^x = h mod p, where g has order n."""
     step = isqrt(n - 1) + 1
@@ -277,17 +262,22 @@ def _baby_step_giant_step(g: int, h: int, n: int, p: int) -> int:
     raise ValueError("h is not a power of g")
 
 
-def _discrete_log(g: int, h: int, p: int, order: dict[int, int]) -> int:
-    """The x in [0, ord_p(g)) with g^x = h mod p, for h in <g>.
+def _discrete_log(g: int, h: int, p: int, n: int, primes: Iterable[int]) -> int:
+    """The x in [0, n) with g^x = h mod p, for h in <g>, where n = ord_p(g).
 
-    Pohlig-Hellman over the factored order: x is found digit by digit in
-    base q modulo each q^k, each digit by baby-step giant-step in the
+    primes must hold every prime dividing n.  Pohlig-Hellman over the
+    factored order: x is found digit by digit in base q modulo each q^k
+    exactly dividing n, each digit by baby-step giant-step in the
     subgroup of order q, and the residues are joined by the CRT.
     """
-    n = prod(q**k for q, k in order.items())
     x, modulus = 0, 1
-    for q, k in order.items():
-        qk = q**k
+    for q in primes:
+        k, qk = 0, 1
+        while n % (qk * q) == 0:
+            k += 1
+            qk *= q
+        if not k:
+            continue
         g_q = pow(g, n // qk, p)
         h_q = pow(h, n // qk, p)
         gamma = pow(g_q, qk // q, p)
@@ -345,10 +335,36 @@ class PrimeClassification:
         }
 
 
-def _minus2_in_powers_of_3(p: int, group: dict[int, int]) -> tuple[bool, dict[int, int]]:
-    """Order test for p > 3: (-2 in <3> mod p, factored ord_p(3)), given p - 1 factored."""
-    order = _order_factorization(3, p, group)
-    return pow(p - 2, prod(q**k for q, k in order.items()), p) == 1, order
+def _minus2_in_powers_of_3(p: int, odd_primes: Iterable[int]) -> tuple[bool, int]:
+    """The order test for a prime p > 3: (-2 in <3> mod p, ord_p(3)).
+
+    odd_primes are the distinct odd primes dividing p - 1.  ord_p(3) is
+    p - 1 with each prime q removed for as long as 3^(order/q) = 1.
+
+    The first test for q = 2, 3^((p-1)/2) = 1, is Euler's criterion for
+    (3/p) = 1, and quadratic reciprocity answers it from p mod 12:
+    (3/p) = (p/3) * (-1)^((p-1)/2), where (p/3) = 1 iff p = 1 mod 3 and
+    (-1)^((p-1)/2) = 1 iff p = 1 mod 4, so (3/p) = 1 iff p = 1 or 11
+    mod 12.  When 3 is a non-residue the 2-part of ord_p(3) is the whole
+    2-part of p - 1; when it is a residue the further halvings are
+    tested by powers.  This is a proof, and not the unsound shortcut
+    "3 a non-residue implies 3 is a primitive root": (3/p) = -1 decides
+    only the 2-part, and every odd q is still tested by a power, which
+    is where the shortcut fails (p = 103: 3 is a non-residue, but
+    3^34 = 1, so ord_103(3) = 34, not 102).
+
+    -2 lies in <3> iff (-2)^ord_p(3) = 1.  When ord_p(3) = p - 1 that
+    holds by Fermat, and no power is taken.
+    """
+    order = p - 1
+    if p % 12 in (1, 11):
+        order >>= 1
+        while not order & 1 and pow(3, order >> 1, p) == 1:
+            order >>= 1
+    for q in odd_primes:
+        while order % q == 0 and pow(3, order // q, p) == 1:
+            order //= q
+    return order == p - 1 or pow(p - 2, order, p) == 1, order
 
 
 def classify_prime_theorem1(p: int) -> PrimeClassification:
@@ -364,13 +380,14 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
         raise ValueError("p must be a prime other than 2 and 3")
     if p % 24 in (13, 23):
         return PrimeClassification(p, "non-torsion", "residue-rule", None)
-    torsion, order = _minus2_in_powers_of_3(p, factorize(p - 1))
+    group = factorize(p - 1)
+    torsion, order = _minus2_in_powers_of_3(p, [q for q in group if q != 2])
     if not torsion:
         # (-2)^ord_p(3) != 1 says what an exhausted cycle of powers of 3 says
         return PrimeClassification(p, "non-torsion", "exhausted-cycle", None)
-    m = _discrete_log(3, p - 2, p, order)
+    m = _discrete_log(3, p - 2, p, order, group)
     if m < 2:
-        m += prod(q**k for q, k in order.items())
+        m += order
     assert (2 + pow(3, m, p)) % p == 0
     return PrimeClassification(p, "torsion", "power-witness", m)
 
@@ -470,15 +487,32 @@ def theorem1_verdicts(bound: int) -> Iterator[tuple[int, bool]]:
     """(p, whether p is a torsion prime) for every prime 5 <= p < bound, reference family.
 
     The same verdicts as `classify_prime_theorem1`, without the witness:
-    the residue rule for classes 13 and 23 mod 24, the order test for
-    the rest, with p - 1 factored by a sieve sized to bound.
+    the residue rule for classes 13 and 23 mod 24, and the order test of
+    `_minus2_in_powers_of_3` for the rest.  That test takes (3/p) from
+    the reciprocity lemma (3/p) = (p/3) * (-1)^((p-1)/2), so (3/p) = 1
+    iff p = 1 or 11 mod 12, instead of from a power.  It is a proof, not
+    the unsound "non-residue implies primitive root" shortcut: (3/p)
+    decides only the 2-part of ord_p(3), and each odd prime factor of
+    p - 1 is still tested by a power.  The odd part of p - 1 is at most
+    (p - 1)/2, so it is factored from a smallest-prime-factor table that
+    stops at bound/2.
     """
     primes = sieve_primes(bound)
-    spf = _smallest_prime_factors(bound, primes)
-    for p in primes:
-        if p < 5:
+    spf = _smallest_prime_factors(bound // 2 + 1, primes)
+    for p in itertools.islice(primes, 2, None):
+        if p % 24 in (13, 23):
+            yield p, False
             continue
-        yield p, p % 24 not in (13, 23) and _minus2_in_powers_of_3(p, _factor_by_spf(p - 1, spf))[0]
+        n = p - 1
+        n >>= (n & -n).bit_length() - 1  # the odd part of p - 1
+        odd_primes = []
+        while n > 1:
+            q = spf[n]
+            odd_primes.append(q)
+            n //= q
+            while n % q == 0:
+                n //= q
+        yield p, _minus2_in_powers_of_3(p, odd_primes)[0]
 
 
 def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> list[CensusRow]:

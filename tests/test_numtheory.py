@@ -283,6 +283,38 @@ def test_census_verdicts_match_power_walk_prime_by_prime():
             assert row.discrepancies == [p for p in members if walked[p] != (row.expectation == "torsion")]
 
 
+def test_census_verdicts_at_every_small_bound():
+    # the factor table stops near bound/2, so the last primes below each bound probe its edge
+    walked = {p: nt.power_witness(p) is not None for p in nt.sieve_primes(300) if p > 3}
+    for bound in range(300):
+        assert dict(nt.theorem1_verdicts(bound)) == {p: t for p, t in walked.items() if p < bound}
+
+
+@pytest.fixture(scope="module")
+def verdicts_below_1e6():
+    return dict(nt.theorem1_verdicts(10**6))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(6, 10**6 - 1).map(sympy.prevprime))
+def test_census_verdicts_match_sympy_order_above_the_walked_range(verdicts_below_1e6, p):
+    assert verdicts_below_1e6[p] == (pow(p - 2, int(sympy.n_order(3, p)), p) == 1)
+
+
+def test_three_is_a_square_exactly_when_p_is_1_or_11_mod_12():
+    # the reciprocity step of the order test, against Euler's criterion
+    for p in nt.sieve_primes(10**5)[2:]:
+        assert (pow(3, (p - 1) // 2, p) == 1) == (p % 12 in (1, 11)), p
+
+
+def test_order_test_finds_the_order_of_3():
+    for p in nt.sieve_primes(20_000)[2:]:
+        odd_primes = [q for q in sympy.primefactors(p - 1) if q != 2]
+        torsion, order = nt._minus2_in_powers_of_3(p, odd_primes)
+        assert order == sympy.n_order(3, p), p
+        assert torsion == (pow(p - 2, order, p) == 1), p
+
+
 def test_census_100k_matches_readme_table(census_100k):
     # README's caveat table, column "torsion below 10^5": class -> (torsion, count)
     table = {5: (1107, 1206), 7: (855, 1205), 17: (1102, 1203), 19: (833, 1205), 13: (0, 1193), 23: (0, 1194)}
