@@ -1,8 +1,9 @@
 """Command-line front end with deterministic text and JSON reports.
 
 Each subcommand takes only the flags it reads; an unknown flag is a
-usage error.  Exit codes: 0 on success, 1 when a verification fails or
-an internal check refuses the input, 2 on usage errors.  Long
+usage error.  Exit codes: 0 on success, 1 when a verification fails,
+an internal check refuses the input or the computation runs out of
+memory or recursion depth, 2 on usage errors.  Long
 computations write per-step progress to stderr only, so stdout stays
 machine-parsable.
 """
@@ -337,6 +338,10 @@ def main(argv=None) -> int:
         return 2
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: the computation exceeded an internal limit ({type(exc).__name__}{detail})", file=sys.stderr)
         return 1
 
 

@@ -50,6 +50,7 @@ from math import gcd
 
 from . import numtheory
 from .presentation import AX_NUM_GENS, RelationSet, relation_set_AX, relation_set_E
+from .series import invert_series
 
 
 class HypothesisError(RuntimeError):
@@ -93,9 +94,7 @@ def piece_counts(num_gens: int, shapes, max_degree: int) -> list[tuple[int, dict
     for d, _ in shapes:
         if d <= max_degree:
             den[d] += 1
-    normal = [1] + [0] * max_degree  # N(t) = 1 / den(t)
-    for k in range(1, max_degree + 1):
-        normal[k] = -sum(den[j] * normal[k - j] for j in range(1, k + 1))
+    normal = invert_series(den[: max_degree + 1])  # N(t) = 1 / den(t)
     torsion = [(d, c) for d, c in shapes if c > 1]
     # sequences[s][k, g]: sequences of k torsion relations whose degrees sum to s and contents have gcd g
     sequences = [defaultdict(int) for _ in range(max_degree + 1)]
@@ -155,13 +154,9 @@ def graded_counts(rels: RelationSet, max_degree: int) -> list[tuple[int, dict[in
     inner = relation_set_E(rels.params, max(max_degree, 2), rels.convention)
     e_pieces = piece_counts(inner.num_gens, relation_shapes(inner), max_degree)
     pieces = []
-    for n in range(max_degree + 1):
-        free = 0
-        orders: dict[int, int] = defaultdict(int)
-        for i in range(n + 1):
-            e_free, e_orders = e_pieces[n - i]
-            free += 2**i * e_free
-            for g, count in e_orders.items():
-                orders[g] += 2**i * count
-        pieces.append((free, dict(orders)))
+    free, orders = 0, {}
+    for e_free, e_orders in e_pieces:  # AX_n = E_n + 2 AX_(n-1): the factor 1 / (1 - 2t)
+        free = e_free + 2 * free
+        orders = {g: e_orders.get(g, 0) + 2 * orders.get(g, 0) for g in {**e_orders, **orders}}
+        pieces.append((free, orders))
     return pieces

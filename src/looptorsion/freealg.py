@@ -77,6 +77,14 @@ class Element:
         self.terms = {w: c for w, c in (terms or {}).items() if c}
         self._hash = None
 
+    @staticmethod
+    def _wrap(terms: dict) -> "Element":
+        """An element that takes `terms`, holding no zero coefficient, without a copy."""
+        e = Element.__new__(Element)
+        e.terms = terms
+        e._hash = None
+        return e
+
     @classmethod
     def zero(cls) -> "Element":
         return cls()
@@ -127,29 +135,20 @@ class Element:
                 out[w] = s
             else:
                 out.pop(w, None)
-        e = Element.__new__(Element)
-        e.terms = out
-        e._hash = None
-        return e
+        return Element._wrap(out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        e = Element.__new__(Element)
-        e.terms = {w: -c for w, c in self.terms.items()}
-        e._hash = None
-        return e
+        return Element._wrap({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         """Concatenation product, or scalar action for int operands."""
         if isinstance(other, int):
             if other == 0:
                 return Element.zero()
-            e = Element.__new__(Element)
-            e.terms = {w: c * other for w, c in self.terms.items()}
-            e._hash = None
-            return e
+            return Element._wrap({w: c * other for w, c in self.terms.items()})
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -159,10 +158,7 @@ class Element:
                     out[w] = s
                 else:
                     del out[w]
-        e = Element.__new__(Element)
-        e.terms = out
-        e._hash = None
-        return e
+        return Element._wrap(out)
 
     def __rmul__(self, other):
         if isinstance(other, int):

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .presentation import Params
+from .presentation import THEOREM1_PARAMS, Params
 
 #: The first 13 prime bases decide primality below this bound (the least
 #: strong pseudoprime to all of them, about 3.3e24).
@@ -237,12 +237,11 @@ def _pollard_rho(n: int) -> int:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Euler's criterion; p must be an odd prime."""
+    """Legendre symbol (a/p), the Jacobi symbol at a prime; p must be an odd prime."""
     _require_prime(p)
     if p == 2:
         raise ValueError("the Legendre symbol needs an odd prime")
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _jacobi(a, p)
 
 
 def _baby_step_giant_step(g: int, h: int, n: int, p: int) -> int:
@@ -518,10 +517,11 @@ def theorem1_verdicts(bound: int) -> Iterator[tuple[int, bool]]:
 def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> list[CensusRow]:
     """Classify every prime below bound and aggregate by residue mod 24.
 
-    mode "theorem1" takes the verdicts of `theorem1_verdicts` and skips 2
-    and 3; mode "general" decides every prime by the recurrence walk of
-    `divides_some_am` for the given params (two tail steps, then one
-    period, by the lemma of `_first_zero_of_am`), without its primality check
+    mode "theorem1" takes the verdicts of `theorem1_verdicts`, skips 2
+    and 3, and refuses params other than THEOREM1_PARAMS; mode "general"
+    decides every prime by the recurrence walk of `divides_some_am` for
+    the given params (two tail steps, then one period, by the lemma of
+    `_first_zero_of_am`), without its primality check
     (the primes come from the sieve) and without the witness re-check
     and Legendre symbols of `classify_prime_general`.  Rows carry the
     residue-rule expectation where one exists and list every prime whose
@@ -531,6 +531,8 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
         raise ValueError("bound must be at least 25")
     if mode == "general" and params is None:
         raise ValueError("general mode needs params")
+    if mode == "theorem1" and params not in (None, THEOREM1_PARAMS):
+        raise ValueError(f"theorem1 mode is for the params {THEOREM1_PARAMS} only; use general mode for {params}")
     if mode not in ("theorem1", "general"):
         raise ValueError(f"unknown census mode {mode!r}")
     if mode == "theorem1":

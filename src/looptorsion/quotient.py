@@ -73,25 +73,23 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
     return DegreeMatrix(n, g, rows)
 
 
-@cache
-def smith_invariants(rels: RelationSet, n: int) -> tuple[list[int], int]:
-    """Cached Smith normal form (invariant factors, rank) in degree n."""
-    return snf.smith_normal_form(ideal_spanning_matrix(rels, n).rows)
+def _prime_field(field) -> int:
+    p = int(field)
+    if not numtheory.is_prime(p):
+        raise ValueError(f"field characteristic {p} is not prime")
+    return p
 
 
 @cache
-def _rank_mod_p(rels: RelationSet, n: int, p: int) -> int:
-    return snf.rank_mod_p(ideal_spanning_matrix(rels, n).rows, p)
-
-
 def graded_piece(rels: RelationSet, n: int) -> GradedPiece:
     """Free rank and elementary divisors of the quotient in degree n."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    invs, rank = smith_invariants(rels, n)
+    invs, rank = snf.smith_normal_form(ideal_spanning_matrix(rels, n).rows)
     return GradedPiece(n, rels.num_gens**n - rank, tuple(d for d in invs if d > 1))
 
 
+@cache
 def dimension(rels: RelationSet, n: int, field) -> int:
     """Dimension of the degree-n piece over Q (field "Q") or over F_p.
 
@@ -102,10 +100,8 @@ def dimension(rels: RelationSet, n: int, field) -> int:
     """
     if field == "Q":
         return graded_piece(rels, n).free_rank
-    p = int(field)
-    if not numtheory.is_prime(p):
-        raise ValueError(f"field characteristic {p} is not prime")
-    return rels.num_gens**n - _rank_mod_p(rels, n, p)
+    p = _prime_field(field)
+    return rels.num_gens**n - snf.rank_mod_p(ideal_spanning_matrix(rels, n).rows, p)
 
 
 def element_order(e: Element, rels: RelationSet, n: int):
@@ -148,9 +144,7 @@ def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
         raise ValueError("truncation must be nonnegative")
     if field == "Q":
         return [free for free, _ in count.graded_counts(rels, max_degree)]
-    p = int(field)
-    if not numtheory.is_prime(p):
-        raise ValueError(f"field characteristic {p} is not prime")
+    p = _prime_field(field)
     return [
         free + sum(mult for g, mult in orders.items() if g % p == 0)
         for free, orders in count.graded_counts(rels, max_degree)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from looptorsion import cli
 from looptorsion.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -186,6 +187,33 @@ def test_order_needs_exactly_one_selector(capsys):
 def test_order_rho_needs_two_integers(capsys, value):
     assert main(["order", "--rho", value]) == 2
     assert capsys.readouterr().err == "error: --rho needs I,M\n"
+
+
+def test_recursion_limit_is_a_refusal_not_a_traceback(capsys):
+    # the recursive sigma of rho(1, m) passes the interpreter's recursion limit from m near 500
+    assert main(["order", "--rho", "1,1100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: the computation exceeded an internal limit (RecursionError: maximum recursion")
+    assert captured.err.count("\n") == 1
+
+
+def test_out_of_memory_is_a_refusal_not_a_traceback(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "torsion_primes_up_to", exhausted)
+    assert main(["torsion-primes", "--max-degree", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the computation exceeded an internal limit (MemoryError)\n"
+
+
+def test_negative_first_parameter_is_written_with_an_equals_sign(capsys):
+    # "--params -1,..." reads as a flag and is a usage error; "--params=-1,..." is the spelling
+    code, out = run_cli(capsys, "recurrence", "--params=-1,2,3,4,5,6", "3")
+    assert code == 0
+    assert out.startswith("# a=-1 b=2 c=3 d=4 a2=5 b2=6\n")
 
 
 def test_empty_params_flags_are_given_not_absent(capsys):

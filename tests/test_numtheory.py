@@ -87,6 +87,13 @@ def test_legendre_examples():
     assert nt.legendre(26, 13) == 0
 
 
+def test_legendre_matches_eulers_criterion():
+    for p in nt.sieve_primes(200)[1:]:
+        for a in range(-p, 2 * p):
+            r = pow(a % p, (p - 1) // 2, p)
+            assert nt.legendre(a, p) == (-1 if r == p - 1 else r), (a, p)
+
+
 def test_legendre_rejects_bad_modulus():
     with pytest.raises(ValueError):
         nt.legendre(3, 2)
@@ -270,6 +277,12 @@ def test_census_small_bound():
     assert sum(r.count for r in rows) == 23  # 25 primes below 100, minus 2 and 3
     for r in rows:
         assert r.torsion + r.non_torsion == r.count
+
+
+def test_census_theorem1_mode_refuses_other_params():
+    with pytest.raises(ValueError, match="general mode"):
+        nt.census(1000, params=Params(1, 2, 3, 4, 5, 6))
+    assert nt.census(1000, params=THEOREM1_PARAMS) == nt.census(1000)
 
 
 def test_census_verdicts_match_power_walk_prime_by_prime():

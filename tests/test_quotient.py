@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from looptorsion import snf
 from looptorsion.action import semi_tensor_dimension_check
 from looptorsion.freealg import Element, GRADED, UNGRADED, U1, U4, V, W, word_rank
 from looptorsion.presentation import (
@@ -19,7 +20,6 @@ from looptorsion.quotient import (
     element_order,
     graded_piece,
     ideal_spanning_matrix,
-    smith_invariants,
     torsion_primes_up_to,
 )
 
@@ -68,7 +68,7 @@ def test_rank_plus_free_rank_is_dimension_of_degree():
     for conv in (GRADED, UNGRADED):
         rels = relation_set_E(THEOREM1_PARAMS, 4, conv)
         for n in range(5):
-            invs, rank = smith_invariants(rels, n)
+            invs, rank = snf.smith_normal_form(ideal_spanning_matrix(rels, n).rows)
             assert graded_piece(rels, n).free_rank + rank == 6**n
             assert len(invs) == rank
 
@@ -165,6 +165,27 @@ def test_dimension_rejects_composite_fields():
         semi_tensor_dimension_check(THEOREM1_PARAMS, 35, 3, GRADED)
     with pytest.raises(ValueError, match=str((1 << 61) + 9)):
         dimension(rels, 1, (1 << 61) + 9)
+
+
+def test_a_revisited_field_is_answered_from_the_caches(monkeypatch):
+    calls = []
+    for name in ("smith_normal_form", "rank_mod_p"):
+
+        def counted(*args, name=name, original=getattr(snf, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(snf, name, counted)
+    params = Params(7, 2, 0, 1, 14, 3)  # a_2, a_3, a_4 = 14, 35, 77; no other test caches this family
+    passes = []
+    for field in (7, 11, 7):
+        start = len(calls)
+        assert semi_tensor_dimension_check(params, field, 4, GRADED)["ok"]
+        passes.append(calls[start:])
+    first, second, third = passes
+    assert {"smith_normal_form", "rank_mod_p"} <= set(first)
+    assert second and set(second) == {"rank_mod_p"}  # the Smith forms come back from the first pass
+    assert third == []
 
 
 def test_ax_degree_3_matches_inner_structure():
