@@ -198,6 +198,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
+    if args.bound < 3:
+        raise ValueError("bound must be at least 3")
     primes = [int(x) for x in args.primes.split(",") if x]
     params = numtheory.theorem2_params(primes)
     verdicts = []
@@ -263,9 +265,19 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = "recurrence torsion-primes classify hilbert order census theorem2 export-relations verify".split()
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand or, when `only` names one, with that one alone.
+
+    Both print the same usage, help and errors: the one-subcommand build lists every command in its
+    usage line, and the full build keeps argparse's default, so its errors name the argument "command".
+    """
+    only = only if only in COMMANDS else None
     parser = argparse.ArgumentParser(prog="looptorsion", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     params = argparse.ArgumentParser(add_help=False)
     params.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
     params.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
@@ -282,55 +294,65 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     report = argparse.ArgumentParser(add_help=False, parents=[out])
     report.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    relation_flags = [params, degree, algebra]
 
-    p = sub.add_parser("recurrence", parents=[params, report], help="print the coefficient table (m, a_m, b_m)")
-    p.add_argument("M", type=int, help="largest index m")
-    p.set_defaults(func=cmd_recurrence)
+    if only in (None, "recurrence"):
+        p = sub.add_parser("recurrence", parents=[params, report], help="print the coefficient table (m, a_m, b_m)")
+        p.add_argument("M", type=int, help="largest index m")
+        p.set_defaults(func=cmd_recurrence)
 
-    p = sub.add_parser(
-        "torsion-primes", parents=[params, degree, algebra, report], help="graded pieces, divisors and torsion primes"
-    )
-    p.set_defaults(func=cmd_torsion_primes)
+    if only in (None, "torsion-primes"):
+        p = sub.add_parser(
+            "torsion-primes", parents=[*relation_flags, report], help="graded pieces, divisors and torsion primes"
+        )
+        p.set_defaults(func=cmd_torsion_primes)
 
-    p = sub.add_parser("classify", parents=[params, report], help="torsion verdict for one prime")
-    p.add_argument("p", type=int, help="the prime to classify")
-    p.set_defaults(func=cmd_classify)
+    if only in (None, "classify"):
+        p = sub.add_parser("classify", parents=[params, report], help="torsion verdict for one prime")
+        p.add_argument("p", type=int, help="the prime to classify")
+        p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser(
-        "hilbert", parents=[params, degree, algebra, report], help="dimension series and loop-space Poincare series"
-    )
-    p.add_argument("--field", default="Q", help="coefficient field: a prime or Q (default Q)")
-    p.set_defaults(func=cmd_hilbert)
+    if only in (None, "hilbert"):
+        p = sub.add_parser(
+            "hilbert", parents=[*relation_flags, report], help="dimension series and loop-space Poincare series"
+        )
+        p.add_argument("--field", default="Q", help="coefficient field: a prime or Q (default Q)")
+        p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("order", parents=[params, algebra, report], help="order of an element in a graded quotient")
-    p.add_argument("--rho", metavar="I,M", help="use the element rho(I,M)")
-    p.add_argument("--element", metavar="TEXT", help="element in text format")
-    p.set_defaults(func=cmd_order)
+    if only in (None, "order"):
+        p = sub.add_parser("order", parents=[params, algebra, report], help="order of an element in a graded quotient")
+        p.add_argument("--rho", metavar="I,M", help="use the element rho(I,M)")
+        p.add_argument("--element", metavar="TEXT", help="element in text format")
+        p.set_defaults(func=cmd_order)
 
-    p = sub.add_parser("census", parents=[params, report], help="per-residue-class torsion census of primes")
-    p.add_argument("bound", type=int, help="classify all primes below this bound")
-    p.set_defaults(func=cmd_census)
+    if only in (None, "census"):
+        p = sub.add_parser("census", parents=[params, report], help="per-residue-class torsion census of primes")
+        p.add_argument("bound", type=int, help="classify all primes below this bound")
+        p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("theorem2", parents=[report], help="classify primes for a product-family instance")
-    p.add_argument("primes", help="comma-separated excluded primes")
-    p.add_argument("--bound", type=int, default=200, help="classify primes below this bound")
-    p.set_defaults(func=cmd_theorem2)
+    if only in (None, "theorem2"):
+        p = sub.add_parser("theorem2", parents=[report], help="classify primes for a product-family instance")
+        p.add_argument("primes", help="comma-separated excluded primes")
+        p.add_argument("--bound", type=int, default=200, help="classify primes below this bound")
+        p.set_defaults(func=cmd_theorem2)
 
-    p = sub.add_parser(
-        "export-relations", parents=[params, degree, algebra, out], help="write a relation set in the text format"
-    )
-    p.set_defaults(func=cmd_export_relations)
+    if only in (None, "export-relations"):
+        p = sub.add_parser(
+            "export-relations", parents=[*relation_flags, out], help="write a relation set in the text format"
+        )
+        p.set_defaults(func=cmd_export_relations)
 
-    p = sub.add_parser("verify", parents=[report], help="run the consolidated consistency suite")
-    p.add_argument("--relations", metavar="PATH", help="also validate an exported relation file")
-    p.set_defaults(func=cmd_verify)
+    if only in (None, "verify"):
+        p = sub.add_parser("verify", parents=[report], help="run the consolidated consistency suite")
+        p.add_argument("--relations", metavar="PATH", help="also validate an exported relation file")
+        p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -217,9 +217,12 @@ def parse_element(text: str, num_gens: int = 8) -> Element:
     terms: dict = {}
     for part in text.split(" + "):
         coeff_text, _, body = part.partition("*")
-        if not body:
-            raise ValueError(f"malformed term {part!r}")
-        coeff = int(coeff_text)
+        try:
+            coeff = int(coeff_text) if body else None
+        except ValueError:
+            coeff = None
+        if coeff is None:
+            raise ValueError(f"malformed term {part!r}: terms are COEFF*g1.g2 joined by ' + ', as in 1*u4.w + -1*w.u4")
         if body == "1":
             word: Word = ()
         else:

@@ -40,8 +40,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -314,12 +314,11 @@ def power_witness(p: int) -> int | None:
             return None
 
 
-@dataclass(frozen=True)
-class PrimeClassification:
-    prime: int
-    verdict: str  # "torsion" | "non-torsion"
-    mechanism: str  # "residue-rule" | "power-witness" | "divisor-witness" | "exhausted-cycle"
-    witness: int | None
+class PrimeClassification(namedtuple("PrimeClassification", "prime verdict mechanism witness")):
+    """A prime's verdict ("torsion" or "non-torsion"), its mechanism ("residue-rule", "power-witness",
+    "divisor-witness" or "exhausted-cycle") and its witness m with p | a_m, or None."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         p = self.prime
@@ -462,14 +461,18 @@ def classify_prime_general(params: Params, q: int) -> PrimeClassification:
     return PrimeClassification(q, "torsion", "divisor-witness", m)
 
 
-@dataclass
 class CensusRow:
-    residue: int
-    count: int = 0
-    torsion: int = 0
-    non_torsion: int = 0
-    expectation: str | None = None
-    discrepancies: list[int] = field(default_factory=list)
+    """The primes of one residue class mod 24: counts, expectation and discrepancies."""
+
+    __slots__ = ("residue", "count", "torsion", "non_torsion", "expectation", "discrepancies")
+
+    def __init__(self, residue: int, expectation: str | None = None):
+        self.residue, self.expectation = residue, expectation
+        self.count = self.torsion = self.non_torsion = 0
+        self.discrepancies: list[int] = []
+
+    def __eq__(self, other):
+        return type(other) is CensusRow and self.to_json() == other.to_json()
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,7 @@ Six integer parameters (a, b, c, d, a2, b2) drive everything:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from collections import namedtuple
 from functools import lru_cache
 
 from .freealg import (
@@ -42,22 +42,13 @@ E_DEFAULT_DEGREE = 5
 AX_DEFAULT_DEGREE = 4
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(namedtuple("Params", "a b c d a2 b2")):
     """The six integers parameterizing the construction."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-    a2: int
-    b2: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.a, self.b, self.c, self.d, self.a2, self.b2)
+    __slots__ = ()
 
     def __str__(self):
-        return "a={} b={} c={} d={} a2={} b2={}".format(*self.as_tuple())
+        return "a={} b={} c={} d={} a2={} b2={}".format(*self)
 
 
 #: The instance whose torsion primes are governed by 2 + 3^m: with these
@@ -109,26 +100,18 @@ def tau(m: int, params: Params, convention: str = DEFAULT_CONVENTION) -> Element
     return rho(1, m, convention) + rho(2, m, convention) * am + rho(3, m, convention) * bm
 
 
-@dataclass(frozen=True)
-class Relation:
-    tag: str
-    element: Element
-    degree: int
+Relation = namedtuple("Relation", "tag element degree")
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(namedtuple("RelationSet", "num_gens params convention relations warnings", defaults=((),))):
     """Homogeneous relations over the first num_gens generators.
 
     Every relation carries a provenance tag so torsion found downstream
     can be traced back to the relation family that produced it.
+    `relations` is a tuple of `Relation`, `warnings` a tuple of strings.
     """
 
-    num_gens: int
-    params: Params
-    convention: str
-    relations: tuple[Relation, ...]
-    warnings: tuple[str, ...] = field(default=())
+    __slots__ = ()
 
     def max_degree(self) -> int:
         return max((r.degree for r in self.relations), default=0)
@@ -217,7 +200,7 @@ def parse_relation_set(text: str) -> RelationSet:
     names = fields["generators"].split()
     num_gens = len(names)
     pvals = dict(kv.split("=") for kv in fields["params"].split())
-    keys = [f.name for f in dataclass_fields(Params)]
+    keys = Params._fields
     if set(pvals) != set(keys):
         raise ValueError(f"params must set exactly {' '.join(keys)}")
     params = Params(**{k: int(v) for k, v in pvals.items()})

@@ -16,7 +16,7 @@ verification suites revisit them repeatedly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from . import count, numtheory, snf
@@ -24,26 +24,20 @@ from .freealg import Element, word_rank
 from .presentation import RelationSet, coeff_sequence
 
 
-@dataclass
-class DegreeMatrix:
-    """Sparse presentation matrix for one degree of the quotient."""
+class DegreeMatrix(namedtuple("DegreeMatrix", "degree num_gens rows")):
+    """Sparse presentation matrix for one degree of the quotient; `rows` is a list of {column: entry}."""
 
-    degree: int
-    num_gens: int
-    rows: list[dict[int, int]]
+    __slots__ = ()
 
     @property
     def ncols(self) -> int:
         return self.num_gens**self.degree
 
 
-@dataclass(frozen=True)
-class GradedPiece:
-    """One degree of the quotient as an abelian group."""
+class GradedPiece(namedtuple("GradedPiece", "degree free_rank divisors")):
+    """One degree of the quotient as an abelian group; divisors: the invariant factors > 1, each dividing the next."""
 
-    degree: int
-    free_rank: int
-    divisors: tuple[int, ...]  # invariant factors > 1, each dividing the next
+    __slots__ = ()
 
 
 @cache
@@ -151,15 +145,10 @@ def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
     ]
 
 
-@dataclass
-class TorsionReport:
-    params_text: str
-    convention: str
-    degrees: list[GradedPiece]
-    computed_primes: list[int]
-    predicted_primes: list[int]
-    agree: bool
-    warnings: list[str]
+class TorsionReport(
+    namedtuple("TorsionReport", "params_text convention degrees computed_primes predicted_primes agree warnings")
+):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

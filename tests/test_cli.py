@@ -178,6 +178,13 @@ def test_order_element_text_infinite(capsys):
     assert json.loads(out)["order"] == "infinite"
 
 
+def test_order_element_with_a_malformed_term_is_a_usage_error(capsys):
+    assert main(["order", "--element", "u1*u2 + u2*u1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed term 'u1*u2': terms are COEFF*g1.g2 joined by ' + '")
+
+
 def test_order_needs_exactly_one_selector(capsys):
     assert main(["order"]) == 2
     assert main(["order", "--rho", "4,3", "--element", "1*u1"]) == 2
@@ -249,6 +256,12 @@ def test_theorem2_json_schema(capsys):
     payload = json.loads(out)
     validate(payload, "theorem2.schema.json")
     assert payload["torsion_iff_not_excluded"] is True
+
+
+@pytest.mark.parametrize("argv", [["7", "--bound", "-5"], ["2,3", "--bound", "2"]])
+def test_theorem2_refuses_a_bound_that_leaves_no_prime_to_classify(capsys, argv):
+    assert main(["theorem2", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: bound must be at least 3\n")
 
 
 def test_export_relations_and_verify_roundtrip(capsys, tmp_path):
@@ -365,6 +378,32 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     assert sorted(JSON_SCHEMAS.values()) == sorted(path.name for path in SCHEMA_DIR.glob("*.schema.json"))
 
 
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys):
+    full = build_parser()
+    subparsers = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    usage = full.format_usage()
+    assert "{" + ",".join(subparsers.choices) + "}" in usage
+    top_level_errors = set()
+    for name, sub in subparsers.choices.items():
+        single = build_parser(name)
+        (alone,) = next(a for a in single._actions if isinstance(a, argparse._SubParsersAction)).choices.values()
+        assert single.format_usage() == usage
+        assert alone.format_usage() == sub.format_usage()
+        assert alone.format_help() == sub.format_help()
+        with pytest.raises(SystemExit) as err:
+            full.parse_args([name, "--bogus"])
+        assert err.value.code == 2
+        expected = capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main([name, "--bogus"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == expected
+        if expected.startswith(usage):
+            top_level_errors.add(name)
+    # without a required positional, the unknown flag is reported by the top-level parser and its usage line
+    assert top_level_errors == {"torsion-primes", "hilbert", "order", "export-relations", "verify"}
+
+
 def test_export_relations_ax(capsys):
     code, out = run_cli(capsys, "export-relations", "--algebra", "AX")
     assert code == 0
@@ -396,6 +435,13 @@ def test_cli_import_loads_neither_verify_nor_action():
     loaded = loaded_modules("import looptorsion.cli")
     assert "looptorsion.cli" in loaded
     assert not loaded & {"looptorsion.verify", "looptorsion.action", "fractions", "decimal"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # compared with a bare interpreter, so that what `site` loads on a machine does not count
+    added = loaded_modules("import looptorsion.cli") - loaded_modules("pass")
+    assert "looptorsion.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_torsion_primes_with_divisor_beyond_seven_bases(capsys):

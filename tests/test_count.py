@@ -5,7 +5,6 @@ from __future__ import annotations
 import ast
 import functools
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -133,7 +132,7 @@ def test_invariant_factors_deal_exponents_from_the_top():
 
 
 def mutated(rels, relation):
-    return replace(rels, relations=rels.relations + (relation,))
+    return rels._replace(relations=rels.relations + (relation,))
 
 
 OVERLAPPING = Relation("overlap", Element({(U4, U1): 1}), 2)  # u4 u1 ends where u1 w begins
@@ -150,7 +149,7 @@ def test_count_refuses_a_set_outside_its_hypotheses(bad):
 def test_count_refuses_an_AX_set_that_is_not_the_generated_one():
     ax = relation_set_AX(THEOREM1_PARAMS, GRADED)
     with pytest.raises(count.HypothesisError):
-        counted_pieces(replace(ax, relations=ax.relations[:-1]), 3)
+        counted_pieces(ax._replace(relations=ax.relations[:-1]), 3)
 
 
 @pytest.mark.parametrize("bad", [OVERLAPPING, NON_MONIC], ids=lambda r: r.tag)
