@@ -23,6 +23,7 @@ CASES = {
     "torsion_primes_AX4_json": ["torsion-primes", "--algebra", "AX", "--json"],
     "torsion_primes_E7": ["torsion-primes", "--max-degree", "7"],
     "torsion_primes_AX5": ["torsion-primes", "--algebra", "AX", "--max-degree", "5"],
+    "torsion_primes_AX6": ["torsion-primes", "--algebra", "AX", "--max-degree", "6"],
     "torsion_primes_E6_a2_zero": ["torsion-primes", "--params", "0,1,1,1,0,3", "--max-degree", "6"],
     "torsion_primes_E6_mixed_ungraded_json": [
         "torsion-primes", "--params", "1,-2,3,-4,5,-6", "--convention", "ungraded", "--max-degree", "6", "--json"
@@ -30,6 +31,8 @@ CASES = {
     "hilbert_E_field7_json": ["hilbert", "--field", "7", "--json"],
     "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
     "hilbert_E6_field11": ["hilbert", "--field", "11", "--max-degree", "6"],
+    "hilbert_E60_field7": ["hilbert", "--field", "7", "--max-degree", "60"],
+    "hilbert_AX40_field5": ["hilbert", "--algebra", "AX", "--field", "5", "--max-degree", "40"],
     "hilbert_AX5_field29_ungraded_json": [
         "hilbert", "--algebra", "AX", "--field", "29", "--max-degree", "5", "--convention", "ungraded", "--json"
     ],
