@@ -217,8 +217,9 @@ def parse_element(text: str, num_gens: int = 8) -> Element:
     terms: dict = {}
     for part in text.split(" + "):
         coeff_text, _, body = part.partition("*")
+        names = body.split(".")
         try:
-            coeff = int(coeff_text) if body else None
+            coeff = int(coeff_text) if all(name.isalnum() for name in names) else None
         except ValueError:
             coeff = None
         if coeff is None:
@@ -226,7 +227,7 @@ def parse_element(text: str, num_gens: int = 8) -> Element:
         if body == "1":
             word: Word = ()
         else:
-            word = tuple(gen_index(name) for name in body.split("."))
+            word = tuple(gen_index(name) for name in names)
         for g in word:
             if g >= num_gens:
                 raise ValueError(

@@ -117,12 +117,17 @@ def element_order(e: Element, rels: RelationSet, n: int):
 def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
     """Degrees 0..max_degree from the closed-form count, with no matrix.
 
-    Raises count.HypothesisError for a relation set the count does not
-    cover; `graded_piece` is the oracle it must agree with.
+    The count runs for every prime power that divides a relation
+    content.  Raises count.HypothesisError for a relation set the count
+    does not cover; `graded_piece` is the oracle it must agree with.
     """
+    graded = count.graded_shapes(rels, max_degree)
+    contents = {c for d, c in graded[1] if d <= max_degree}
+    prime_powers = {(p, e) for c in contents for p, k in numtheory.factorize(c).items() for e in range(1, k + 1)}
+    free, counts = count.graded_counts(graded, max_degree, prime_powers)
     return [
-        GradedPiece(n, free, count.invariant_factors(orders))
-        for n, (free, orders) in enumerate(count.graded_counts(rels, max_degree))
+        GradedPiece(n, free[n], count.invariant_factors({key: series[n] for key, series in counts.items()}))
+        for n in range(max_degree + 1)
     ]
 
 
@@ -131,18 +136,15 @@ def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
 
     Tensoring is right exact, so over F_p the quotient is the integer
     quotient tensored with F_p, and Z/g tensored with F_p is F_p when p
-    divides g and 0 otherwise.  Raises count.HypothesisError like
+    divides g and 0 otherwise: the free rank plus the count for p^1.
+    Factors nothing.  Raises count.HypothesisError like
     `counted_pieces`; `dimension` is the oracle it must agree with.
     """
     if max_degree < 0:
         raise ValueError("truncation must be nonnegative")
-    if field == "Q":
-        return [free for free, _ in count.graded_counts(rels, max_degree)]
-    p = _prime_field(field)
-    return [
-        free + sum(mult for g, mult in orders.items() if g % p == 0)
-        for free, orders in count.graded_counts(rels, max_degree)
-    ]
+    p = None if field == "Q" else _prime_field(field)
+    free, counts = count.graded_counts(count.graded_shapes(rels, max_degree), max_degree, [(p, 1)] if p else [])
+    return [f + c for f, c in zip(free, counts[p, 1])] if p else free
 
 
 class TorsionReport(

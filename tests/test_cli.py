@@ -185,6 +185,13 @@ def test_order_element_with_a_malformed_term_is_a_usage_error(capsys):
     assert captured.err.startswith("error: malformed term 'u1*u2': terms are COEFF*g1.g2 joined by ' + '")
 
 
+def test_order_element_with_a_trailing_plus_is_a_malformed_term(capsys):
+    assert main(["order", "--element=1*u1 + "]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed term '1*u1 +': terms are COEFF*g1.g2 joined by ' + '")
+
+
 def test_order_needs_exactly_one_selector(capsys):
     assert main(["order"]) == 2
     assert main(["order", "--rho", "4,3", "--element", "1*u1"]) == 2

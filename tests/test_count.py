@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 import time
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptorsion import cli, count, quotient, snf
+from looptorsion import cli, count, numtheory, quotient, snf
 from looptorsion.freealg import CONVENTIONS, GRADED, U1, U2, U4, W, Element
 from looptorsion.presentation import (
     Params,
@@ -110,25 +111,64 @@ def test_hilbert_builds_no_matrix(monkeypatch, capsys):
 
 
 def test_free_ranks_to_degree_16_follow_the_rational_series():
-    start = time.perf_counter()
     shapes = [(m, 1) for m in range(2, 17)]
     shapes += [(m + 1, abs(am)) for m, am, _ in coeff_sequence(THEOREM1_PARAMS, 15)]
-    pieces = count.piece_counts(6, shapes, 16)
+    prime_powers = {(p, e) for _, c in shapes for p, k in numtheory.factorize(c).items() for e in range(1, k + 1)}
+    start = time.perf_counter()
+    free, counts = count.piece_counts(6, shapes, 16, prime_powers)
     elapsed = time.perf_counter() - start
     # (1 - t) / (1 - 7t + 7t^2 + t^3)
     expected = [1, 6]
     while len(expected) < 17:
         expected.append(7 * expected[-1] - 7 * expected[-2] - (expected[-3] if len(expected) > 2 else 0))
     assert expected[:9] == [1, 6, 35, 202, 1163, 6692, 38501, 221500, 1274301]
-    assert [free for free, _ in pieces] == expected
-    assert pieces[3][1] == {11: 1}
+    assert free == expected
+    assert {key: series[3] for key, series in counts.items() if series[3]} == {(11, 1): 1}
     assert elapsed < 0.05
 
 
 def test_invariant_factors_deal_exponents_from_the_top():
-    assert count.invariant_factors({4: 2, 6: 1, 9: 1}) == (2, 12, 36)
-    assert count.invariant_factors({11: 3, 29: 0}) == (11, 11, 11)
+    # the orders 4, 4, 6, 9 and 11, 11, 11
+    assert count.invariant_factors({(2, 1): 3, (2, 2): 2, (3, 1): 2, (3, 2): 1}) == (2, 12, 36)
+    assert count.invariant_factors({(11, 1): 3, (29, 1): 0}) == (11, 11, 11)
     assert count.invariant_factors({}) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 4)] * 5), max_size=8))
+def test_invariant_factors_match_the_dense_smith_form(exponents):
+    primes = (2, 3, 5, 7, 11)
+    orders = [math.prod(p**e for p, e in zip(primes, row)) for row in exponents]
+    counts = {(p, e): sum(order % p**e == 0 for order in orders) for p in primes for e in range(1, 5)}
+    diagonal = [[order if i == j else 0 for j in range(len(orders))] for i, order in enumerate(orders)]
+    expected = tuple(d for d in snf.invariant_factors_dense(diagonal) if d > 1)
+    assert count.invariant_factors(counts) == expected
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("hilbert_E60_field7", ["hilbert", "--field", "7", "--max-degree", "60"]),
+        ("hilbert_AX40_field5", ["hilbert", "--algebra", "AX", "--field", "5", "--max-degree", "40"]),
+    ],
+)
+def test_hilbert_factors_nothing(name, argv, monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"hilbert factored {n}")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    assert cli.main(argv) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("params", FAMILIES, ids=str)
+def test_one_prime_dimensions_match_the_pieces_counted_for_all_primes(params):
+    for rels, top in ((relation_set_E(params, 9, GRADED), 9), (relation_set_AX(params, GRADED), 7)):
+        pieces = counted_pieces(rels, top)
+        for p in (2, 3, 5, 7, 11, 13):
+            expected = [piece.free_rank + sum(d % p == 0 for d in piece.divisors) for piece in pieces]
+            assert counted_dimensions(rels, p, top) == expected
 
 
 def mutated(rels, relation):

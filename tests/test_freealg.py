@@ -171,6 +171,7 @@ def test_parse_rejects_out_of_context_generator():
 
 def test_parse_rejects_garbage():
     # a coefficient that is not an integer is a malformed term, not int()'s "invalid literal"
-    for text in ("3 u1", "u1*u2 + u2*u1", "*u1", "+u1*u2", "x1*u1"):
+    # so is an empty generator name or a trailing " + ", not an "unknown generator"
+    for text in ("3 u1", "u1*u2 + u2*u1", "*u1", "+u1*u2", "x1*u1", "1*u1 + ", "1*u1.", "1*.u1", "1*u1..u2"):
         with pytest.raises(ValueError, match="^malformed term"):
             parse_element(text)
