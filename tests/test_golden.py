@@ -25,6 +25,7 @@ CASES = {
     "torsion_primes_AX5": ["torsion-primes", "--algebra", "AX", "--max-degree", "5"],
     "torsion_primes_AX6": ["torsion-primes", "--algebra", "AX", "--max-degree", "6"],
     "torsion_primes_E6_a2_zero": ["torsion-primes", "--params", "0,1,1,1,0,3", "--max-degree", "6"],
+    "torsion_primes_E6_big_prime": ["torsion-primes", "--params", "0,1000000007,0,0,1,0", "--max-degree", "6"],
     "torsion_primes_E6_mixed_ungraded_json": [
         "torsion-primes", "--params", "1,-2,3,-4,5,-6", "--convention", "ungraded", "--max-degree", "6", "--json"
     ],
@@ -32,6 +33,7 @@ CASES = {
     "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
     "hilbert_E6_field11": ["hilbert", "--field", "11", "--max-degree", "6"],
     "hilbert_E60_field7": ["hilbert", "--field", "7", "--max-degree", "60"],
+    "hilbert_E100_field7": ["hilbert", "--field", "7", "--max-degree", "100"],
     "hilbert_AX40_field5": ["hilbert", "--algebra", "AX", "--field", "5", "--max-degree", "40"],
     "hilbert_AX5_field29_ungraded_json": [
         "hilbert", "--algebra", "AX", "--field", "29", "--max-degree", "5", "--convention", "ungraded", "--json"
