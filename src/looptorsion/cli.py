@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, RecursionError) as exc:
+    except (MemoryError, OverflowError, RecursionError) as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: the computation exceeded an internal limit ({type(exc).__name__}{detail})", file=sys.stderr)
         return 1

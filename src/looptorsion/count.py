@@ -53,7 +53,7 @@ hypothesis raises HypothesisError; there is no fallback.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, prod
 
 from .presentation import AX_NUM_GENS, RelationSet, relation_set_AX, relation_set_E
@@ -65,7 +65,14 @@ class HypothesisError(RuntimeError):
 
 
 def relation_shapes(rels: RelationSet) -> list[tuple[int, int]]:
-    """(degree, content) of each relation, after checking both hypotheses."""
+    """(degree, content) of each relation, after checking both hypotheses.
+
+    The leading words are checked against one prefix index, from every
+    nonempty prefix to the least relation whose leading word starts with
+    it: word i overlaps when a proper suffix is in the index, and nests
+    when it lies inside another word.  The error names the least
+    offending i and the least j it clashes with.
+    """
     shapes = []
     leading = []
     for rel in rels.relations:
@@ -76,13 +83,18 @@ def relation_shapes(rels: RelationSet) -> list[tuple[int, int]]:
         if abs(rel.element.terms[word]) != content:
             raise HypothesisError(f"relation {rel.tag} is not content times a monic element")
         shapes.append((rel.degree, content))
-        leading.append((rel.tag, word))
-    for i, (tag_a, a) in enumerate(leading):
-        for j, (tag_b, b) in enumerate(leading):
-            overlap = any(a[-k:] == b[:k] for k in range(1, min(len(a), len(b) + 1)))
-            inside = i != j and any(b[s : s + len(a)] == a for s in range(len(b) - len(a) + 1))
-            if overlap or inside:
-                raise HypothesisError(f"leading words of relations {tag_a} and {tag_b} overlap or nest")
+        leading.append(bytes(word))  # generator indices are below 8
+    first = {}
+    for j, b in enumerate(leading):
+        for k in range(1, len(b) + 1):
+            first.setdefault(b[:k], j)
+    for i, a in enumerate(leading):
+        overlaps = (first[a[k:]] for k in range(1, len(a)) if a[k:] in first)
+        nests = (j for j, b in enumerate(leading) if j != i and a in b)
+        j = min(chain(overlaps, nests), default=None)
+        if j is not None:
+            tag_a, tag_b = rels.relations[i].tag, rels.relations[j].tag
+            raise HypothesisError(f"leading words of relations {tag_a} and {tag_b} overlap or nest")
     return shapes
 
 

@@ -12,8 +12,6 @@ coefficients are plain Python ints, so nothing ever overflows.
 
 from __future__ import annotations
 
-from itertools import product
-
 GENERATOR_NAMES = ("u1", "u2", "u3", "u4", "v", "w", "x1", "x2")
 U1, U2, U3, U4, V, W, X1, X2 = range(8)
 _NAME_TO_INDEX = {name: i for i, name in enumerate(GENERATOR_NAMES)}
@@ -39,22 +37,8 @@ def gen_index(name: str) -> int:
         raise ValueError(f"unknown generator {name!r}") from None
 
 
-def words_of_degree(n: int, num_gens: int) -> list[Word]:
-    """All words of length n over the first num_gens generators.
-
-    The list is in lexicographic order on generator indices, which for a
-    fixed length is the length-lex order used everywhere in the package,
-    so basis positions are reproducible bit for bit.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if not 1 <= num_gens <= len(GENERATOR_NAMES):
-        raise ValueError(f"num_gens must be in 1..{len(GENERATOR_NAMES)}")
-    return list(product(range(num_gens), repeat=n))
-
-
 def word_rank(word: Word, num_gens: int) -> int:
-    """Position of word in words_of_degree(len(word), num_gens)."""
+    """Position of word among the words of its length over num_gens generators, in lexicographic order."""
     r = 0
     for g in word:
         if g >= num_gens:
@@ -94,10 +78,8 @@ class Element:
         return cls({(): 1})
 
     @classmethod
-    def gen(cls, index) -> "Element":
-        """The degree-1 element for a generator index or name."""
-        if isinstance(index, str):
-            index = gen_index(index)
+    def gen(cls, index: int) -> "Element":
+        """The degree-1 element for a generator index."""
         return cls({(index,): 1})
 
     def is_zero(self) -> bool:

@@ -121,14 +121,25 @@ def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
     content.  Raises count.HypothesisError for a relation set the count
     does not cover; `graded_piece` is the oracle it must agree with.
     """
+    return _counted(rels, max_degree)[0]
+
+
+def _counted(rels: RelationSet, max_degree: int) -> tuple[list[GradedPiece], set[int]]:
+    """`counted_pieces` and the primes that divide an invariant factor of some degree.
+
+    p divides an invariant factor in degree n exactly when its p^1
+    count is nonzero there, and a nonzero p^e count implies a nonzero
+    p^1 count, so the primes are read off the series, not factored.
+    """
     graded = count.graded_shapes(rels, max_degree)
     contents = {c for d, c in graded[1] if d <= max_degree}
     prime_powers = {(p, e) for c in contents for p, k in numtheory.factorize(c).items() for e in range(1, k + 1)}
     free, counts = count.graded_counts(graded, max_degree, prime_powers)
-    return [
+    pieces = [
         GradedPiece(n, free[n], count.invariant_factors({key: series[n] for key, series in counts.items()}))
         for n in range(max_degree + 1)
     ]
+    return pieces, {p for (p, _), series in counts.items() if any(series)}
 
 
 def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
@@ -148,42 +159,28 @@ def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
 
 
 class TorsionReport(
-    namedtuple("TorsionReport", "params_text convention degrees computed_primes predicted_primes agree warnings")
+    namedtuple("TorsionReport", "params convention degrees computed_primes predicted_primes agree warnings")
 ):
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "params": self.params_text,
-            "convention": self.convention,
-            "degrees": [
-                {"n": p.degree, "free_rank": p.free_rank, "divisors": list(p.divisors)}
-                for p in self.degrees
-            ],
-            "computed_primes": self.computed_primes,
-            "predicted_primes": self.predicted_primes,
-            "agree": self.agree,
-            "warnings": self.warnings,
-        }
+        degrees = [{"n": p.degree, "free_rank": p.free_rank, "divisors": list(p.divisors)} for p in self.degrees]
+        return {**self._asdict(), "degrees": degrees}
 
 
 def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
     """Compare computed torsion primes against the recurrence prediction.
 
-    Computed: prime factors of every elementary divisor in degrees up to
-    max_degree, with the pieces from the closed-form count (`count`;
-    `graded_piece` is its oracle).  Predicted: primes dividing some
-    nonzero a_m with 2 <= m <= max_degree - 1 (the relation
-    a_m * rho(4, m+1) is expected to leave rho(4, m+1) with order a_m in
-    degree m + 1).
+    Computed: the primes dividing an elementary divisor in some degree up
+    to max_degree, read off the closed-form count (`count`;
+    `graded_piece` is its oracle) without factoring a divisor.
+    Predicted: primes dividing some nonzero a_m with
+    2 <= m <= max_degree - 1 (the relation a_m * rho(4, m+1) is expected
+    to leave rho(4, m+1) with order a_m in degree m + 1).
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    pieces = counted_pieces(rels, max_degree)
-    computed: set[int] = set()
-    for piece in pieces:
-        if piece.divisors:  # every divisor divides the last one
-            computed.update(numtheory.factorize(piece.divisors[-1]))
+    pieces, computed = _counted(rels, max_degree)
     predicted: set[int] = set()
     warnings = list(rels.warnings)
     for m, am, _ in coeff_sequence(rels.params, max(max_degree - 1, 2)):
@@ -196,11 +193,11 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
             continue
         predicted.update(numtheory.factorize(am))
     return TorsionReport(
-        params_text=str(rels.params),
+        params=str(rels.params),
         convention=rels.convention,
         degrees=pieces,
         computed_primes=sorted(computed),
         predicted_primes=sorted(predicted),
-        agree=sorted(computed) == sorted(predicted),
+        agree=computed == predicted,
         warnings=warnings,
     )

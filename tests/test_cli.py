@@ -223,6 +223,18 @@ def test_out_of_memory_is_a_refusal_not_a_traceback(capsys, monkeypatch):
     assert captured.err == "error: the computation exceeded an internal limit (MemoryError)\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["census", "99999999999999999999"], ["theorem2", "7", "--bound", "99999999999999999999"]]
+)
+def test_a_bound_past_the_index_range_is_a_refusal_not_a_traceback(argv, capsys):
+    # the sieve's bytearray multiplication fails before it allocates anything
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the computation exceeded an internal limit (OverflowError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_negative_first_parameter_is_written_with_an_equals_sign(capsys):
     # "--params -1,..." reads as a flag and is a usage error; "--params=-1,..." is the spelling
     code, out = run_cli(capsys, "recurrence", "--params=-1,2,3,4,5,6", "3")

@@ -17,6 +17,7 @@ from looptorsion.freealg import CONVENTIONS, GRADED, U1, U2, U4, W, Element
 from looptorsion.presentation import (
     Params,
     Relation,
+    RelationSet,
     THEOREM1_PARAMS,
     coeff_sequence,
     relation_set_AX,
@@ -177,6 +178,78 @@ def mutated(rels, relation):
 
 OVERLAPPING = Relation("overlap", Element({(U4, U1): 1}), 2)  # u4 u1 ends where u1 w begins
 NON_MONIC = Relation("non-monic", Element({(U1, W): 2, (U2, W): 3}), 2)
+
+
+def pairwise_clash(rels):
+    """The refusal of the position-by-position scan over every ordered pair of leading words, or None."""
+    leading = [(rel.tag, min(rel.element.terms)) for rel in rels.relations]
+    for i, (tag_a, a) in enumerate(leading):
+        for j, (tag_b, b) in enumerate(leading):
+            overlap = any(a[-k:] == b[:k] for k in range(1, min(len(a), len(b) + 1)))
+            inside = i != j and any(b[s : s + len(a)] == a for s in range(len(b) - len(a) + 1))
+            if overlap or inside:
+                return f"leading words of relations {tag_a} and {tag_b} overlap or nest"
+    return None
+
+
+WORD_SETS = st.integers(1, 4).flatmap(
+    lambda letters: st.lists(
+        st.lists(st.integers(0, letters - 1), min_size=1, max_size=6).map(tuple), min_size=1, max_size=6
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(WORD_SETS)
+def test_prefix_index_refuses_exactly_what_the_pairwise_scan_refuses(words):
+    relations = tuple(Relation(f"r{i}", Element({word: 1}), len(word)) for i, word in enumerate(words))
+    rels = RelationSet(6, THEOREM1_PARAMS, GRADED, relations)
+    expected = pairwise_clash(rels)
+    if expected is None:
+        assert count.relation_shapes(rels) == [(len(word), 1) for word in words]
+    else:
+        with pytest.raises(count.HypothesisError) as refusal:
+            count.relation_shapes(rels)
+        assert str(refusal.value) == expected
+
+
+def test_hypothesis_check_at_E150_takes_under_half_a_second():
+    rels = relation_set_E(THEOREM1_PARAMS, 150, GRADED)
+    start = time.perf_counter()
+    shapes = count.relation_shapes(rels)
+    elapsed = time.perf_counter() - start
+    assert len(shapes) == len(rels.relations)
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("params", FAMILIES, ids=str)
+def test_computed_primes_are_those_of_the_largest_invariant_factors(params, conv):
+    for rels, top in ((relation_set_E(params, 9, conv), 9), (relation_set_AX(params, conv), 7)):
+        primes = set()
+        for piece in counted_pieces(rels, top):
+            if piece.divisors:
+                primes.update(numtheory.factorize(piece.divisors[-1]))
+            if piece.degree >= 2:
+                assert torsion_primes_up_to(rels, piece.degree).computed_primes == sorted(primes)
+
+
+@pytest.mark.parametrize("params, top", [(THEOREM1_PARAMS, 8), (Params(0, 1000000007, 0, 0, 1, 0), 6)], ids=str)
+def test_torsion_primes_factor_contents_and_a_m_only(params, top, monkeypatch):
+    rels = relation_set_E(params, top, GRADED)
+    contents = {c for d, c in count.relation_shapes(rels) if d <= top}
+    coefficients = [am for m, am, _ in coeff_sequence(params, top - 1) if 2 <= m <= top - 1 and am]
+    seen = []
+    factorize = numtheory.factorize
+
+    def record(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(numtheory, "factorize", record)
+    torsion_primes_up_to(rels, top)
+    # each content once for the prime powers, each a_m once for the prediction, and nothing else
+    assert sorted(seen) == sorted([*contents, *coefficients])
 
 
 @pytest.mark.parametrize("bad", [OVERLAPPING, NON_MONIC], ids=lambda r: r.tag)

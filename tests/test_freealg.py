@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from looptorsion.freealg import (
     format_element,
     parse_element,
     word_rank,
-    words_of_degree,
 )
 
 
@@ -39,22 +39,9 @@ def random_homogeneous(rng, degree, num_gens=3, nterms=3) -> Element:
     return Element(terms)
 
 
-def test_words_of_degree_counts():
-    assert words_of_degree(0, 6) == [()]
-    assert len(words_of_degree(2, 6)) == 36
-    assert len(words_of_degree(3, 8)) == 512
-
-
-def test_words_of_degree_is_lexicographic():
-    ws = words_of_degree(2, 3)
-    assert ws == sorted(ws)
-    assert ws[0] == (0, 0) and ws[-1] == (2, 2)
+def test_word_rank_is_the_lexicographic_position():
+    ws = list(product(range(3), repeat=2))
     assert all(word_rank(w, 3) == i for i, w in enumerate(ws))
-
-
-def test_words_of_degree_rejects_negative():
-    with pytest.raises(ValueError):
-        words_of_degree(-1, 6)
 
 
 def test_multiply_examples():
