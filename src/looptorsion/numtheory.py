@@ -17,13 +17,18 @@ For the reference parameter family a prime p is a torsion prime iff
   Pohlig-Hellman over the factored ord_p(3) with baby-step giant-step
   in each prime-order step.  `census` and `classify_prime_theorem1`
   share this one test; they differ only in how p - 1 is factored;
-* the power walk and the recurrence walk (the oracle): walk the powers
+* the power walk and the recurrence walks (the oracle): walk the powers
   of 3 mod p until the cycle closes (`power_witness`), or the
   coefficient recurrence mod p for arbitrary parameters until its state
-  repeats (`divides_some_am`).  The recurrence is affine, and an affine
-  map of F_p^2 is purely periodic after two steps, so the walk saves
-  the state after them and stops when that state comes back.  The
-  verification sweeps compare the other routes against these walks.
+  repeats.  The recurrence is affine, and an affine map of F_p^2 is
+  purely periodic after two steps, so a walk saves the state after
+  them and stops when that state comes back.  The general census runs
+  its own counter-free existence walk (`_orbit_meets_zero`), and the
+  counted walk of `divides_some_am`, which finds the least witness, is
+  that walk's oracle; the two share no code.  `classify_prime_general`
+  asserts its witness m with a_m mod p in O(log m) steps by a matrix
+  power (`_am_mod`), not by a second walk.  The verification sweeps
+  compare the other routes against these walks.
 
 The classical heuristic "3 a non-residue implies 3 is a primitive root",
 which would make the classes 5, 7, 17, 19 mod 24 always solvable, is
@@ -449,15 +454,69 @@ def _first_zero_of_am(params: Params, q: int) -> int | None:
             return None
 
 
+def _orbit_meets_zero(params: Params, q: int) -> bool:
+    """Whether some a_m with m >= 2 is 0 mod q, for a prime q already sieved.
+
+    The census's walk: the orbit of `_first_zero_of_am`, with no step
+    counter, since the census needs only yes or no.  It checks m = 2, 3
+    and the two tail steps m = 4, 5, saves the state, and then steps
+    until a_m = 0 or the saved state comes back, which it does after one
+    period by the lemma proved in `_first_zero_of_am`.  That counted walk
+    shares no code with this one and is its oracle.
+    """
+    A, B, CD = params.a % q, params.b % q, params.c * params.d % q
+    y = params.a2 % q
+    if y == 0:
+        return True
+    x = (params.a + params.b * params.a2 + params.c * params.b2) % q
+    if x == 0:
+        return True
+    for _ in range(2):
+        x, y = (A + B * x + CD * y) % q, x
+        if x == 0:
+            return True
+    start_x, start_y = x, y
+    while True:
+        x, y = (A + B * x + CD * y) % q, x
+        if x == 0:
+            return True
+        if x == start_x and y == start_y:
+            return False
+
+
+def _am_mod(params: Params, m: int, q: int) -> int:
+    """a_m mod q for m >= 2, in O(log m) multiplications of 3 x 3 matrices.
+
+    The state map (a_k, b_k, 1) -> (a + b*a_k + c*b_k, d*a_k, 1) is the
+    matrix [[b, c, a], [d, 0, 0], [0, 0, 1]] mod q; its (m - 2)-th power,
+    taken by repeated squaring, sends (a_2, b_2, 1) to (a_m, b_m, 1).
+    """
+
+    def times(X, Y):
+        columns = list(zip(*Y))
+        return [[(x0 * y0 + x1 * y1 + x2 * y2) % q for y0, y1, y2 in columns] for x0, x1, x2 in X]
+
+    step = [[params.b % q, params.c % q, params.a % q], [params.d % q, 0, 0], [0, 0, 1]]
+    power = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    e = m - 2
+    while e:
+        if e & 1:
+            power = times(power, step)
+        step = times(step, step)
+        e >>= 1
+    return (power[0][0] * params.a2 + power[0][1] * params.b2 + power[0][2]) % q
+
+
 def classify_prime_general(params: Params, q: int) -> PrimeClassification:
-    """Torsion verdict for arbitrary parameters, via the recurrence walk."""
+    """Torsion verdict for arbitrary parameters, via the recurrence walk.
+
+    The witness m is asserted by computing a_m mod q in O(log m) steps
+    (`_am_mod`), not by walking the orbit a second time.
+    """
     m = divides_some_am(params, q)
     if m is None:
         return PrimeClassification(q, "non-torsion", "exhausted-cycle", None)
-    seq_a, seq_b = params.a2 % q, params.b2 % q
-    for _ in range(m - 2):
-        seq_a, seq_b = (params.a + params.b * seq_a + params.c * seq_b) % q, params.d * seq_a % q
-    assert seq_a == 0
+    assert _am_mod(params, m, q) == 0
     return PrimeClassification(q, "torsion", "divisor-witness", m)
 
 
@@ -522,11 +581,12 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
 
     mode "theorem1" takes the verdicts of `theorem1_verdicts`, skips 2
     and 3, and refuses params other than THEOREM1_PARAMS; mode "general"
-    decides every prime by the recurrence walk of `divides_some_am` for
-    the given params (two tail steps, then one period, by the lemma of
-    `_first_zero_of_am`), without its primality check
-    (the primes come from the sieve) and without the witness re-check
-    and Legendre symbols of `classify_prime_general`.  Rows carry the
+    decides every prime for the given params by its own counter-free
+    existence walk, `_orbit_meets_zero` (two tail steps, then one
+    period, by the lemma of `_first_zero_of_am`), with no primality
+    check (the primes come from the sieve), no witness and no Legendre
+    symbols.  The counted walk of `divides_some_am`, which finds the
+    least witness, shares no code with it and is its oracle.  Rows carry the
     residue-rule expectation where one exists and list every prime whose
     verdict contradicts it.
     """
@@ -542,7 +602,7 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
         verdicts = theorem1_verdicts(bound)
         expectations = RULE_EXPECTATION
     else:
-        verdicts = ((p, _first_zero_of_am(params, p) is not None) for p in sieve_primes(bound))
+        verdicts = ((p, _orbit_meets_zero(params, p)) for p in sieve_primes(bound))
         expectations = {}
     rows: dict[int, CensusRow] = {}
     for p, torsion in verdicts:

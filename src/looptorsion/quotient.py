@@ -124,22 +124,23 @@ def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
     return _counted(rels, max_degree)[0]
 
 
-def _counted(rels: RelationSet, max_degree: int) -> tuple[list[GradedPiece], set[int]]:
-    """`counted_pieces` and the primes that divide an invariant factor of some degree.
+def _counted(rels: RelationSet, max_degree: int) -> tuple[list[GradedPiece], set[int], dict[int, dict[int, int]]]:
+    """`counted_pieces`, the primes that divide an invariant factor of some degree, and the factored contents.
 
     p divides an invariant factor in degree n exactly when its p^1
     count is nonzero there, and a nonzero p^e count implies a nonzero
     p^1 count, so the primes are read off the series, not factored.
+    The third item maps each relation content to its factorization.
     """
     graded = count.graded_shapes(rels, max_degree)
-    contents = {c for d, c in graded[1] if d <= max_degree}
-    prime_powers = {(p, e) for c in contents for p, k in numtheory.factorize(c).items() for e in range(1, k + 1)}
+    factored = {c: numtheory.factorize(c) for c in {c for d, c in graded[1] if d <= max_degree}}
+    prime_powers = {(p, e) for f in factored.values() for p, k in f.items() for e in range(1, k + 1)}
     free, counts = count.graded_counts(graded, max_degree, prime_powers)
     pieces = [
         GradedPiece(n, free[n], count.invariant_factors({key: series[n] for key, series in counts.items()}))
         for n in range(max_degree + 1)
     ]
-    return pieces, {p for (p, _), series in counts.items() if any(series)}
+    return pieces, {p for (p, _), series in counts.items() if any(series)}, factored
 
 
 def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
@@ -176,11 +177,13 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
     `graded_piece` is its oracle) without factoring a divisor.
     Predicted: primes dividing some nonzero a_m with
     2 <= m <= max_degree - 1 (the relation a_m * rho(4, m+1) is expected
-    to leave rho(4, m+1) with order a_m in degree m + 1).
+    to leave rho(4, m+1) with order a_m in degree m + 1).  It reads no
+    count: it reuses the factorization of any |a_m| that is a relation
+    content and factors each other distinct |a_m| once.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    pieces, computed = _counted(rels, max_degree)
+    pieces, computed, factored = _counted(rels, max_degree)
     predicted: set[int] = set()
     warnings = list(rels.warnings)
     for m, am, _ in coeff_sequence(rels.params, max(max_degree - 1, 2)):
@@ -191,7 +194,10 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
             if msg not in warnings:
                 warnings.append(msg)
             continue
-        predicted.update(numtheory.factorize(am))
+        n = abs(am)
+        if n not in factored:
+            factored[n] = numtheory.factorize(n)
+        predicted.update(factored[n])
     return TorsionReport(
         params=str(rels.params),
         convention=rels.convention,

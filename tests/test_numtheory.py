@@ -235,6 +235,7 @@ def test_divides_some_am_matches_brute_force_walk(params, q):
             break
         a, b = (params.a + params.b * a + params.c * b) % q, params.d * a % q
     assert nt.divides_some_am(params, q) == expected
+    assert nt._orbit_meets_zero(params, q) == (expected is not None)
 
 
 def test_divides_some_am_after_a_tail_of_two_steps():
@@ -243,8 +244,24 @@ def test_divides_some_am_after_a_tail_of_two_steps():
     params = Params(1, 0, 1, 0, 1, 1)
     assert [am for _, am, _ in coeff_sequence(params, 6)] == [1, 2, 1, 1, 1]
     assert nt.divides_some_am(params, 2) == 3
+    assert nt._orbit_meets_zero(params, 2)
     for q in (3, 5, 101):
         assert nt.divides_some_am(params, q) is None
+        assert not nt._orbit_meets_zero(params, q)
+
+
+@pytest.mark.parametrize(
+    "params, primes",
+    [
+        (Params(1, 2, 3, 4, 5, 6), (2, 3, 5, 7, 11, 101)),  # c*d = 12: q = 2, 3 divide it
+        (Params(1, 1, 30, 42, 1, 1), (2, 3, 5, 7, 13, 199)),  # c*d = 1260: q = 2, 3, 5, 7 divide it
+        (Params(-7, 3, 0, -2, 4, -9), (2, 5, 11)),  # c = 0: every q divides c*d
+    ],
+)
+def test_am_mod_matches_the_exact_sequence(params, primes):
+    rows = coeff_sequence(params, 200)
+    for q in primes:
+        assert [nt._am_mod(params, m, q) for m, _, _ in rows] == [am % q for _, am, _ in rows], q
 
 
 def test_theorem2_params():
@@ -362,7 +379,11 @@ def test_census_general_mode_includes_2_and_3():
     assert all(r.expectation is None for r in rows)
 
 
-@pytest.mark.parametrize("params", [Params(1, 2, 3, 4, 5, 6), nt.theorem2_params([2, 3, 5])])
+@pytest.mark.parametrize(
+    "params",
+    # the last family has c*d = 0 mod 2, 3, 5 and 7, so its orbits there have tails
+    [Params(1, 2, 3, 4, 5, 6), nt.theorem2_params([2, 3, 5]), nt.theorem2_params([7]), Params(1, 1, 30, 42, 1, 1)],
+)
 def test_census_general_matches_classify_prime_by_prime(params):
     bound = 4000
     rebuilt: dict[int, dict] = {}
