@@ -26,9 +26,9 @@ For the reference parameter family a prime p is a torsion prime iff
   its own counter-free existence walk (`_orbit_meets_zero`), and the
   counted walk of `divides_some_am`, which finds the least witness, is
   that walk's oracle; the two share no code.  `classify_prime_general`
-  asserts its witness m with a_m mod p in O(log m) steps by a matrix
-  power (`_am_mod`), not by a second walk.  The verification sweeps
-  compare the other routes against these walks.
+  checks its witness m by computing a_m mod p in O(log m) steps, a
+  matrix power (`_am_mod`).  The verification sweeps compare the other
+  routes against these walks.
 
 The classical heuristic "3 a non-residue implies 3 is a primitive root",
 which would make the classes 5, 7, 17, 19 mod 24 always solvable, is
@@ -510,8 +510,8 @@ def _am_mod(params: Params, m: int, q: int) -> int:
 def classify_prime_general(params: Params, q: int) -> PrimeClassification:
     """Torsion verdict for arbitrary parameters, via the recurrence walk.
 
-    The witness m is asserted by computing a_m mod q in O(log m) steps
-    (`_am_mod`), not by walking the orbit a second time.
+    The witness m is checked by computing a_m mod q in O(log m) steps
+    (`_am_mod`), so the orbit is walked once.
     """
     m = divides_some_am(params, q)
     if m is None:
@@ -586,9 +586,9 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
     period, by the lemma of `_first_zero_of_am`), with no primality
     check (the primes come from the sieve), no witness and no Legendre
     symbols.  The counted walk of `divides_some_am`, which finds the
-    least witness, shares no code with it and is its oracle.  Rows carry the
-    residue-rule expectation where one exists and list every prime whose
-    verdict contradicts it.
+    least witness, shares no code with it and is its oracle.  Rows
+    carry the residue-rule expectation where one exists and list every
+    prime whose verdict contradicts it.
     """
     if bound < 25:
         raise ValueError("bound must be at least 25")
