@@ -186,10 +186,8 @@ def cmd_order(args) -> int:
 
 def cmd_census(args) -> int:
     params = _params_from(args)
-    if params == THEOREM1_PARAMS:
-        rows = numtheory.census(args.bound, mode="theorem1")
-    else:
-        rows = numtheory.census(args.bound, mode="general", params=params)
+    mode = "theorem1" if params == THEOREM1_PARAMS else "general"
+    rows = numtheory.census(args.bound, mode=mode, params=params)
     if args.json:
         _emit_json(args, [row.to_json() for row in rows])
     else:

@@ -21,11 +21,12 @@ For the reference parameter family a prime p is a torsion prime iff
   of 3 mod p until the cycle closes (`power_witness`), or the
   coefficient recurrence mod p for arbitrary parameters until its state
   repeats.  The recurrence is affine, and an affine map of F_p^2 is
-  purely periodic after two steps, so a walk saves the state after
-  them and stops when that state comes back.  The general census runs
-  its own counter-free existence walk (`_orbit_meets_zero`), and the
-  counted walk of `divides_some_am`, which finds the least witness, is
-  that walk's oracle; the two share no code.  `classify_prime_general`
+  purely periodic after two steps (the lemma proved in
+  `divides_some_am`), so a walk saves the state after them and stops
+  when that state comes back.  The general census runs its own
+  counter-free existence walk (`_orbit_meets_zero`), and the counted
+  walk of `divides_some_am`, which finds the least witness, is that
+  walk's oracle; the two share no code.  `classify_prime_general`
   checks its witness m by computing a_m mod p in O(log m) steps, a
   matrix power (`_am_mod`).  The verification sweeps compare the other
   routes against these walks.
@@ -294,7 +295,14 @@ def _discrete_log(g: int, h: int, p: int, n: int, primes: Iterable[int]) -> int:
     return x
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by the caches of the two counted walks, `power_witness`
+#: and `divides_some_am`.  The test suite, which runs `verify` four times,
+#: asks them for about 4100 and 3700 distinct keys, so nothing is evicted
+#: there, and a long sweep cannot grow them without bound.
+_WALK_CACHE_SIZE = 8192
+
+
+@lru_cache(maxsize=_WALK_CACHE_SIZE)
 def power_witness(p: int) -> int | None:
     """Least m >= 2 with 2 + 3^m = 0 mod p, or None if no power works.
 
@@ -395,22 +403,9 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
     return PrimeClassification(p, "torsion", "power-witness", m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WALK_CACHE_SIZE)
 def divides_some_am(params: Params, q: int) -> int | None:
     """Least m >= 2 with a_m = 0 mod q, or None when no a_m is.
-
-    Steps the recurrence mod q and saves its state at m = 5.  Lemma: an
-    affine map of F_q^2 is purely periodic after two steps (stated and
-    proved in `_first_zero_of_am`), so the saved state comes back after
-    one period.  Every m is visited in order, so the first zero gives the
-    least m; when the saved state comes back first, no a_m is 0 mod q.
-    """
-    _require_prime(q)
-    return _first_zero_of_am(params, q)
-
-
-def _first_zero_of_am(params: Params, q: int) -> int | None:
-    """`divides_some_am` without the primality check, for primes already sieved.
 
     From m = 3 on b_m = d*a_(m-1), so a_(m+1) = a + b*a_m + c*d*a_(m-1):
     the walk steps the state (a_m, a_(m-1)) by the affine map
@@ -430,8 +425,11 @@ def _first_zero_of_am(params: Params, q: int) -> int | None:
 
     So the walk checks m = 2, 3 and the two tail steps m = 4, 5 for a
     zero, saves the state at m = 5, and then steps until a_m = 0 or the
-    saved state comes back.
+    saved state comes back.  Every m is visited in order, so the first
+    zero gives the least m; when the saved state comes back first, no
+    a_m is 0 mod q.
     """
+    _require_prime(q)
     A, B, CD = params.a % q, params.b % q, params.c * params.d % q
     y = params.a2 % q
     if y == 0:
@@ -457,11 +455,11 @@ def _first_zero_of_am(params: Params, q: int) -> int | None:
 def _orbit_meets_zero(params: Params, q: int) -> bool:
     """Whether some a_m with m >= 2 is 0 mod q, for a prime q already sieved.
 
-    The census's walk: the orbit of `_first_zero_of_am`, with no step
+    The census's walk: the orbit of `divides_some_am`, with no step
     counter, since the census needs only yes or no.  It checks m = 2, 3
     and the two tail steps m = 4, 5, saves the state, and then steps
     until a_m = 0 or the saved state comes back, which it does after one
-    period by the lemma proved in `_first_zero_of_am`.  That counted walk
+    period by the lemma proved in `divides_some_am`.  That counted walk
     shares no code with this one and is its oracle.
     """
     A, B, CD = params.a % q, params.b % q, params.c * params.d % q
@@ -520,18 +518,10 @@ def classify_prime_general(params: Params, q: int) -> PrimeClassification:
     return PrimeClassification(q, "torsion", "divisor-witness", m)
 
 
-class CensusRow:
+class CensusRow(namedtuple("CensusRow", "residue count torsion non_torsion expectation discrepancies")):
     """The primes of one residue class mod 24: counts, expectation and discrepancies."""
 
-    __slots__ = ("residue", "count", "torsion", "non_torsion", "expectation", "discrepancies")
-
-    def __init__(self, residue: int, expectation: str | None = None):
-        self.residue, self.expectation = residue, expectation
-        self.count = self.torsion = self.non_torsion = 0
-        self.discrepancies: list[int] = []
-
-    def __eq__(self, other):
-        return type(other) is CensusRow and self.to_json() == other.to_json()
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -583,12 +573,13 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
     and 3, and refuses params other than THEOREM1_PARAMS; mode "general"
     decides every prime for the given params by its own counter-free
     existence walk, `_orbit_meets_zero` (two tail steps, then one
-    period, by the lemma of `_first_zero_of_am`), with no primality
+    period, by the lemma proved in `divides_some_am`), with no primality
     check (the primes come from the sieve), no witness and no Legendre
     symbols.  The counted walk of `divides_some_am`, which finds the
-    least witness, shares no code with it and is its oracle.  Rows
-    carry the residue-rule expectation where one exists and list every
-    prime whose verdict contradicts it.
+    least witness, shares no code with it and is its oracle.  The
+    verdicts are tallied per residue class in one pass, and each class's
+    row is built once after it.  Rows carry the residue-rule expectation
+    where one exists and list every prime whose verdict contradicts it.
     """
     if bound < 25:
         raise ValueError("bound must be at least 25")
@@ -604,20 +595,22 @@ def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> 
     else:
         verdicts = ((p, _orbit_meets_zero(params, p)) for p in sieve_primes(bound))
         expectations = {}
-    rows: dict[int, CensusRow] = {}
+    expected = {r: e == "torsion" for r, e in expectations.items()}
+    # residue -> [non-torsion count, torsion count, discrepancies]; a verdict indexes its count,
+    # and a class with no expectation takes every verdict as expected
+    tally: dict[int, list] = {}
     for p, torsion in verdicts:
-        expectation = expectations.get(p % 24)
-        row = rows.get(p % 24)
-        if row is None:
-            row = rows[p % 24] = CensusRow(residue=p % 24, expectation=expectation)
-        row.count += 1
-        if torsion:
-            row.torsion += 1
-        else:
-            row.non_torsion += 1
-        if expectation is not None and torsion != (expectation == "torsion"):
-            row.discrepancies.append(p)
-    return [rows[r] for r in sorted(rows)]
+        residue = p % 24
+        counts = tally.get(residue)
+        if counts is None:
+            counts = tally[residue] = [0, 0, []]
+        counts[torsion] += 1
+        if expected.get(residue, torsion) != torsion:
+            counts[2].append(p)
+    return [
+        CensusRow(r, non_torsion + torsion, torsion, non_torsion, expectations.get(r), discrepancies)
+        for r, (non_torsion, torsion, discrepancies) in sorted(tally.items())
+    ]
 
 
 def census_table(rows: list[CensusRow]) -> str:
