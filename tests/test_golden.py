@@ -45,10 +45,12 @@ CASES = {
     "classify_41_json": ["classify", "41", "--json"],
     "classify_103": ["classify", "103"],
     "classify_2": ["classify", "2"],
+    "classify_3_json": ["classify", "3", "--json"],
     "classify_1009_params_json": ["classify", "1009", "--params", "1,2,3,4,5,6", "--json"],
     "census_1000": ["census", "1000"],
     "census_20000_json": ["census", "20000", "--json"],
     "census_4000_params_json": ["census", "4000", "--params", "1,2,3,4,5,6", "--json"],
+    "census_2000_theorem2_7": ["census", "2000", "--theorem2", "7"],
     "theorem2_7_bound60_json": ["theorem2", "7", "--bound", "60", "--json"],
     "theorem2_7_bound60": ["theorem2", "7", "--bound", "60"],
     "theorem2_7_bound2000": ["theorem2", "7", "--bound", "2000"],
