@@ -15,13 +15,13 @@ elementary-divisor multisets over the integers.
 
 The bracket sign convention is nowhere pinned down by the construction
 itself, so `select_convention` runs the consistency suite under both
-conventions and reports which survive; that report is the authority for
-the package default.
+conventions, reports which survive, and holds the package's declared
+default, `freealg.DEFAULT_CONVENTION`, to passing it.
 """
 
 from __future__ import annotations
 
-from .freealg import CONVENTIONS, GRADED, UNGRADED, Element, X1, X2
+from .freealg import CONVENTIONS, DEFAULT_CONVENTION, GRADED, Element, X1, X2
 from .presentation import (
     Params,
     RelationSet,
@@ -155,8 +155,9 @@ def select_convention() -> dict:
     A convention passes when, for the reference parameters, the
     derivations preserve the ideal for all relations of degree < 4 and
     the twisted-tensor dimension and divisor identities hold over Q,
-    F_5, F_11 and F_13 up to degree 4.  The graded convention is
-    preferred as the default when both pass.
+    F_5, F_11 and F_13 up to degree 4.  The selected default is the
+    declared `DEFAULT_CONVENTION` when it passes and None otherwise,
+    whatever the other convention does.
     """
     entries = []
     passing = []
@@ -175,5 +176,5 @@ def select_convention() -> dict:
                 "ok": ok,
             }
         )
-    selected = GRADED if GRADED in passing else (UNGRADED if passing else None)
+    selected = DEFAULT_CONVENTION if DEFAULT_CONVENTION in passing else None
     return {"conventions": entries, "passing": passing, "selected_default": selected}

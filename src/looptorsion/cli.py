@@ -108,9 +108,7 @@ def cmd_torsion_primes(args) -> int:
 
 def cmd_classify(args) -> int:
     params = _params_from(args)
-    # the residue rule and the power witness need p > 3; the recurrence
-    # walk decides 2 and 3 as the general census does
-    if params == THEOREM1_PARAMS and args.p not in (2, 3):
+    if params == THEOREM1_PARAMS:
         cls = numtheory.classify_prime_theorem1(args.p)
         expectation = numtheory.RULE_EXPECTATION.get(args.p % 24)
     else:
@@ -185,9 +183,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_census(args) -> int:
-    params = _params_from(args)
-    mode = "theorem1" if params == THEOREM1_PARAMS else "general"
-    rows = numtheory.census(args.bound, mode=mode, params=params)
+    rows = numtheory.census(args.bound, params=_params_from(args))
     if args.json:
         _emit_json(args, [row.to_json() for row in rows])
     else:

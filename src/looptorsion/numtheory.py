@@ -23,13 +23,15 @@ For the reference parameter family a prime p is a torsion prime iff
   repeats.  The recurrence is affine, and an affine map of F_p^2 is
   purely periodic after two steps (the lemma proved in
   `divides_some_am`), so a walk saves the state after them and stops
-  when that state comes back.  The general census runs its own
-  counter-free existence walk (`_orbit_meets_zero`), and the counted
+  when that state comes back.  The census of any other family runs its
+  own counter-free existence walk (`_orbit_meets_zero`), and the counted
   walk of `divides_some_am`, which finds the least witness, is that
   walk's oracle; the two share no code.  `classify_prime_general`
   checks its witness m by computing a_m mod p in O(log m) steps, a
   matrix power (`_am_mod`).  The verification sweeps compare the other
-  routes against these walks.
+  routes against these walks.  The parameters alone pick the route:
+  `census` takes the order test for the reference family and the walk
+  for any other, and `classify_prime_theorem1` walks p = 2 and 3.
 
 The classical heuristic "3 a non-residue implies 3 is a primitive root",
 which would make the classes 5, 7, 17, 19 mod 24 always solvable, is
@@ -69,6 +71,8 @@ RULE_EXPECTATION = {
     13: "non-torsion",
     23: "non-torsion",
 }
+#: The classes the sound half of the rule decides, read once from RULE_EXPECTATION.
+SOUND_RULE_CLASSES = frozenset(r for r, e in RULE_EXPECTATION.items() if e == "non-torsion")
 
 
 def is_prime(n: int) -> bool:
@@ -341,8 +345,9 @@ class PrimeClassification(namedtuple("PrimeClassification", "prime verdict mecha
             "mechanism": self.mechanism,
             "witness": self.witness,
             "residues": {"mod24": p % 24, "mod12": p % 12, "mod8": p % 8},
-            "legendre3": legendre(3, p) if p > 3 else None,
-            "legendre_minus2": legendre(-2, p) if p > 2 else None,
+            # the classifier that built the record proved p prime, so no Legendre check is repeated
+            "legendre3": _jacobi(3, p) if p > 3 else None,
+            "legendre_minus2": _jacobi(-2, p) if p > 2 else None,
         }
 
 
@@ -381,15 +386,16 @@ def _minus2_in_powers_of_3(p: int, odd_primes: Iterable[int]) -> tuple[bool, int
 def classify_prime_theorem1(p: int) -> PrimeClassification:
     """Torsion verdict for the reference family (a_m = 2 + 3^m).
 
-    Primes 13 or 23 mod 24 are settled by the sound residue rule; every
-    other prime by the order test, with the least witness taken from the
-    discrete log of -2 to base 3.  The claimed positive rule for classes
-    5, 7, 17, 19 is never used to decide.
+    Primes in `SOUND_RULE_CLASSES` (13 and 23 mod 24) are settled by
+    the sound residue rule; every other prime p > 3 by the order test,
+    with the least witness taken from the discrete log of -2 to base 3;
+    2 and 3 by the walk, `classify_prime_general(THEOREM1_PARAMS, p)`.
+    The claimed positive rule for classes 5, 7, 17, 19 never decides.
     """
     _require_prime(p)
     if p in (2, 3):
-        raise ValueError("p must be a prime other than 2 and 3")
-    if p % 24 in (13, 23):
+        return classify_prime_general(THEOREM1_PARAMS, p)
+    if p % 24 in SOUND_RULE_CLASSES:
         return PrimeClassification(p, "non-torsion", "residue-rule", None)
     group = factorize(p - 1)
     torsion, order = _minus2_in_powers_of_3(p, [q for q in group if q != 2])
@@ -538,8 +544,8 @@ def theorem1_verdicts(bound: int) -> Iterator[tuple[int, bool]]:
     """(p, whether p is a torsion prime) for every prime 5 <= p < bound, reference family.
 
     The same verdicts as `classify_prime_theorem1`, without the witness:
-    the residue rule for classes 13 and 23 mod 24, and the order test of
-    `_minus2_in_powers_of_3` for the rest.  That test takes (3/p) from
+    the residue rule for `SOUND_RULE_CLASSES` (13 and 23 mod 24), and
+    the order test of `_minus2_in_powers_of_3` for the rest.  That test takes (3/p) from
     the reciprocity lemma (3/p) = (p/3) * (-1)^((p-1)/2), so (3/p) = 1
     iff p = 1 or 11 mod 12, instead of from a power.  It is a proof, not
     the unsound "non-residue implies primitive root" shortcut: (3/p)
@@ -551,7 +557,7 @@ def theorem1_verdicts(bound: int) -> Iterator[tuple[int, bool]]:
     primes = sieve_primes(bound)
     spf = _smallest_prime_factors(bound // 2 + 1, primes)
     for p in itertools.islice(primes, 2, None):
-        if p % 24 in (13, 23):
+        if p % 24 in SOUND_RULE_CLASSES:
             yield p, False
             continue
         n = p - 1
@@ -566,30 +572,28 @@ def theorem1_verdicts(bound: int) -> Iterator[tuple[int, bool]]:
         yield p, _minus2_in_powers_of_3(p, odd_primes)[0]
 
 
-def census(bound: int, mode: str = "theorem1", params: Params | None = None) -> list[CensusRow]:
+def census(bound: int, params: Params | None = None, *, mode: str | None = None) -> list[CensusRow]:
     """Classify every prime below bound and aggregate by residue mod 24.
 
-    mode "theorem1" takes the verdicts of `theorem1_verdicts`, skips 2
-    and 3, and refuses params other than THEOREM1_PARAMS; mode "general"
-    decides every prime for the given params by its own counter-free
-    existence walk, `_orbit_meets_zero` (two tail steps, then one
-    period, by the lemma proved in `divides_some_am`), with no primality
-    check (the primes come from the sieve), no witness and no Legendre
-    symbols.  The counted walk of `divides_some_am`, which finds the
-    least witness, shares no code with it and is its oracle.  The
-    verdicts are tallied per residue class in one pass, and each class's
-    row is built once after it.  Rows carry the residue-rule expectation
-    where one exists and list every prime whose verdict contradicts it.
+    params picks the route.  The reference family (None or
+    THEOREM1_PARAMS) takes the verdicts of `theorem1_verdicts`, skips 2
+    and 3, and carries `RULE_EXPECTATION`; any other family decides
+    every prime by the counter-free walk `_orbit_meets_zero` (two tail
+    steps, then one period, by the lemma proved in `divides_some_am`),
+    with no primality check (the primes come from the sieve), no
+    witness and no expectation.  The counted walk of `divides_some_am`
+    shares no code with it and is its oracle.  mode, if given, must name
+    that route ("theorem1" or "general").  The verdicts are tallied per
+    residue class in one pass, each row is built once after it, and a
+    row lists every prime whose verdict contradicts its expectation.
     """
     if bound < 25:
         raise ValueError("bound must be at least 25")
-    if mode == "general" and params is None:
-        raise ValueError("general mode needs params")
-    if mode == "theorem1" and params not in (None, THEOREM1_PARAMS):
-        raise ValueError(f"theorem1 mode is for the params {THEOREM1_PARAMS} only; use general mode for {params}")
-    if mode not in ("theorem1", "general"):
-        raise ValueError(f"unknown census mode {mode!r}")
-    if mode == "theorem1":
+    reference = params in (None, THEOREM1_PARAMS)
+    route = "theorem1" if reference else "general"
+    if mode not in (None, route):
+        raise ValueError(f"census mode {mode!r} does not fit {params or THEOREM1_PARAMS}, whose route is {route!r}")
+    if reference:
         verdicts = theorem1_verdicts(bound)
         expectations = RULE_EXPECTATION
     else:

@@ -152,12 +152,21 @@ def test_classify_theorem1_examples():
 
 
 def test_classify_rejects_bad_input():
-    with pytest.raises(ValueError):
-        nt.classify_prime_theorem1(2)
-    with pytest.raises(ValueError):
-        nt.classify_prime_theorem1(3)
+    # the order test needs p > 3, so 2 and 3 take the recurrence walk
+    for p in (2, 3):
+        assert nt.classify_prime_theorem1(p) == nt.classify_prime_general(THEOREM1_PARAMS, p)
     with pytest.raises(ValueError):
         nt.classify_prime_theorem1(15)
+
+
+def test_classification_json_calls_no_primality_test(monkeypatch):
+    records = [nt.classify_prime_theorem1(p) for p in (2, 3, 41, 103)]
+    records += [nt.classify_prime_general(Params(1, 2, 3, 4, 5, 6), p) for p in (2, 3, 1009)]
+    expected = [r.to_json() for r in records]
+    calls = []
+    monkeypatch.setattr(nt, "is_prime", lambda n: calls.append(n) or True)
+    assert [r.to_json() for r in records] == expected
+    assert calls == []
 
 
 def test_divides_some_am_examples():
@@ -297,9 +306,18 @@ def test_census_small_bound():
 
 
 def test_census_theorem1_mode_refuses_other_params():
-    with pytest.raises(ValueError, match="general mode"):
-        nt.census(1000, params=Params(1, 2, 3, 4, 5, 6))
-    assert nt.census(1000, params=THEOREM1_PARAMS) == nt.census(1000)
+    params = Params(1, 2, 3, 4, 5, 6)
+    # the params pick the route; a mode may only name it
+    assert nt.census(1000, params=params) == nt.census(1000, mode="general", params=params)
+    assert nt.census(1000, params=THEOREM1_PARAMS) == nt.census(1000) == nt.census(1000, mode="theorem1")
+    with pytest.raises(ValueError, match="route is 'general'"):
+        nt.census(1000, mode="theorem1", params=params)
+    with pytest.raises(ValueError, match="route is 'theorem1'"):
+        nt.census(1000, mode="general")
+    with pytest.raises(ValueError, match="route is 'theorem1'"):
+        nt.census(1000, mode="general", params=THEOREM1_PARAMS)
+    with pytest.raises(ValueError):
+        nt.census(1000, mode="walk", params=params)
 
 
 def test_census_verdicts_match_power_walk_prime_by_prime():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-from looptorsion import verify
-from looptorsion.freealg import GRADED
+from looptorsion import action, verify
+from looptorsion.freealg import DEFAULT_CONVENTION, GRADED, UNGRADED
 from looptorsion.presentation import THEOREM1_PARAMS, format_relation_set, relation_set_E
 
 
@@ -23,3 +23,24 @@ def test_checks_print_nothing_and_verification_reports_one_line_per_check(capsys
     labels = {name.removeprefix("check_").replace("_", " ") for name in module_checks - {"check_relations_file"}}
     assert labels <= set(lines)
     assert "given relations file" in lines
+
+
+def test_convention_selection_fails_when_the_declared_default_fails(monkeypatch):
+    assert DEFAULT_CONVENTION == GRADED
+    real = action.check_preserves_ideal
+
+    def graded_fails(spec, rels, maxdeg):
+        report = real(spec, rels, maxdeg)
+        return {**report, "ok": report["ok"] and spec.convention != GRADED}
+
+    monkeypatch.setattr(action, "check_preserves_ideal", graded_fails)
+    # every other check passes as a stub, so only the selection can fail
+    for name, obj in list(vars(verify).items()):
+        if name.startswith("check_") and obj.__module__ == verify.__name__:
+            monkeypatch.setattr(verify, name, lambda name=name: {"name": name, "ok": True})
+    report = verify.run_verification(quiet=True)
+    assert report["convention_selection"]["passing"] == [UNGRADED]
+    assert report["convention_selection"]["selected_default"] is None
+    selection = next(c for c in report["checks"] if c["name"] == "convention-selection")
+    assert not selection["ok"] and selection["selected_default"] is None
+    assert not report["ok"]
