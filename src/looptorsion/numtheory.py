@@ -23,15 +23,14 @@ For the reference parameter family a prime p is a torsion prime iff
   repeats.  The recurrence is affine, and an affine map of F_p^2 is
   purely periodic after two steps (the lemma proved in
   `divides_some_am`), so a walk saves the state after them and stops
-  when that state comes back.  The census of any other family runs its
-  own counter-free existence walk (`_orbit_meets_zero`), and the counted
-  walk of `divides_some_am`, which finds the least witness, is that
-  walk's oracle; the two share no code.  `classify_prime_general`
-  checks its witness m by computing a_m mod p in O(log m) steps, a
-  matrix power (`_am_mod`).  The verification sweeps compare the other
-  routes against these walks.  The parameters alone pick the route:
-  `census` takes the order test for the reference family and the walk
-  for any other, and `classify_prime_theorem1` walks p = 2 and 3.
+  when that state comes back.  `census` picks its route from the
+  parameters alone: the order test for the reference family, and for
+  any other its own counter-free walk (`_orbit_meets_zero`), whose
+  oracle is the counted walk of `divides_some_am`, which finds the
+  least witness; the two share no code.  `classify_prime_theorem1`
+  walks p = 2 and 3, and `classify_prime_general` checks its witness m
+  by computing a_m mod p in O(log m) steps, a matrix power (`_am_mod`).
+  The verification sweeps compare the other routes against these walks.
 
 The classical heuristic "3 a non-residue implies 3 is a primitive root",
 which would make the classes 5, 7, 17, 19 mod 24 always solvable, is
@@ -544,8 +543,8 @@ def theorem1_verdicts(bound: int) -> Iterator[tuple[int, bool]]:
     """(p, whether p is a torsion prime) for every prime 5 <= p < bound, reference family.
 
     The same verdicts as `classify_prime_theorem1`, without the witness:
-    the residue rule for `SOUND_RULE_CLASSES` (13 and 23 mod 24), and
-    the order test of `_minus2_in_powers_of_3` for the rest.  That test takes (3/p) from
+    the residue rule for `SOUND_RULE_CLASSES` and the order test of
+    `_minus2_in_powers_of_3` for the rest.  That test takes (3/p) from
     the reciprocity lemma (3/p) = (p/3) * (-1)^((p-1)/2), so (3/p) = 1
     iff p = 1 or 11 mod 12, instead of from a power.  It is a proof, not
     the unsound "non-residue implies primitive root" shortcut: (3/p)
@@ -581,11 +580,10 @@ def census(bound: int, params: Params | None = None, *, mode: str | None = None)
     every prime by the counter-free walk `_orbit_meets_zero` (two tail
     steps, then one period, by the lemma proved in `divides_some_am`),
     with no primality check (the primes come from the sieve), no
-    witness and no expectation.  The counted walk of `divides_some_am`
-    shares no code with it and is its oracle.  mode, if given, must name
-    that route ("theorem1" or "general").  The verdicts are tallied per
-    residue class in one pass, each row is built once after it, and a
-    row lists every prime whose verdict contradicts its expectation.
+    witness and no expectation.  mode, if given, must name that route
+    ("theorem1" or "general").  The verdicts are tallied per residue
+    class in one pass, each row is built once after it, and a row lists
+    every prime whose verdict contradicts its expectation.
     """
     if bound < 25:
         raise ValueError("bound must be at least 25")
