@@ -5,17 +5,17 @@ usage error.  Exit codes: 0 on success, 1 when a verification fails,
 an internal check refuses the input or the computation runs out of
 memory or recursion depth, 2 on usage errors.  Long
 computations write per-step progress to stderr only, so stdout stays
-machine-parsable.
+machine-parsable.  Each command imports only the modules it runs, so
+`census`, `classify`, `theorem2`, `recurrence` and `export-relations`
+start without loading `quotient`, `snf`, `count`, `series` or `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import numtheory
-from .count import HypothesisError
 from .freealg import CONVENTIONS, DEFAULT_CONVENTION, format_element, parse_element
 from .presentation import (
     AX_DEFAULT_DEGREE,
@@ -30,8 +30,6 @@ from .presentation import (
     relation_set_E,
     rho,
 )
-from .quotient import counted_dimensions, element_order, torsion_primes_up_to
-from .series import G2, R4, format_series, roos_poincare, series_json
 
 
 def _integers(text: str, count: int, usage: str) -> list[int]:
@@ -71,6 +69,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload) -> None:
+    import json
+
     _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
@@ -87,6 +87,8 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_torsion_primes(args) -> int:
+    from .quotient import torsion_primes_up_to
+
     params = _params_from(args)
     rels, maxdeg = _relations(args, params)
     report = torsion_primes_up_to(rels, maxdeg)
@@ -135,6 +137,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .quotient import counted_dimensions
+    from .series import G2, R4, format_series, roos_poincare, series_json
+
     params = _params_from(args)
     rels, maxdeg = _relations(args, params)
     try:
@@ -156,6 +161,8 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .quotient import element_order
+
     params = _params_from(args)
     if (args.rho is None) == (args.element is None):
         raise ValueError("give exactly one of --rho I,M or --element TEXT")
@@ -352,12 +359,16 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (MemoryError, OverflowError, RecursionError) as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: the computation exceeded an internal limit ({type(exc).__name__}{detail})", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        from .count import HypothesisError  # a RuntimeError, raised only by a command that loaded `count`
+
+        if not isinstance(exc, HypothesisError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

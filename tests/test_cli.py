@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from looptorsion import cli
+from looptorsion import cli, quotient
 from looptorsion.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -216,7 +216,7 @@ def test_out_of_memory_is_a_refusal_not_a_traceback(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "torsion_primes_up_to", exhausted)
+    monkeypatch.setattr(quotient, "torsion_primes_up_to", exhausted)
     assert main(["torsion-primes", "--max-degree", "12"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -454,6 +454,82 @@ def test_cli_import_loads_neither_verify_nor_action():
     loaded = loaded_modules("import looptorsion.cli")
     assert "looptorsion.cli" in loaded
     assert not loaded & {"looptorsion.verify", "looptorsion.action", "fractions", "decimal"}
+
+
+ALGEBRA_MODULES = {"looptorsion.quotient", "looptorsion.snf", "looptorsion.count"}
+
+
+def test_cli_import_loads_no_algebra_module_nor_json():
+    loaded = loaded_modules("import looptorsion.cli")
+    assert "looptorsion.cli" in loaded
+    assert not loaded & {*ALGEBRA_MODULES, "looptorsion.series", "json"}
+
+
+def run_module(*argv):
+    """`python -X importtime -m looptorsion *argv`: the finished process and the modules it imported."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    command = [sys.executable, "-X", "importtime", "-m", "looptorsion", *argv]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, imported
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "1000"],
+        ["census", "1000", "--params", "1,2,3,4,5,6"],
+        ["classify", "41"],
+        ["theorem2", "2,3", "--bound", "50"],
+        ["recurrence", "6"],
+        ["export-relations"],
+    ],
+    ids=" ".join,
+)
+def test_an_arithmetic_command_loads_no_algebra_module(argv):
+    proc, imported = run_module(*argv)
+    assert proc.returncode == 0 and proc.stdout
+    assert "looptorsion.numtheory" in imported
+    assert not imported & ALGEBRA_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv", [["torsion-primes", "--max-degree", "4", "--json"], ["hilbert", "--algebra", "AX", "--field", "13"]], ids=" ".join
+)
+def test_an_algebra_command_loads_its_modules_and_prints_what_main_prints(argv, capsys):
+    proc, imported = run_module(*argv)
+    assert ALGEBRA_MODULES <= imported
+    assert run_cli(capsys, *argv) == (proc.returncode, proc.stdout)
+
+
+REFUSAL_SCRIPT = """
+import sys
+from looptorsion import cli
+from looptorsion.freealg import U1, U4, Element
+from looptorsion.presentation import Relation
+
+build = cli.relation_set_E
+overlap = Relation("overlap", Element({(U4, U1): 1}), 2)  # u4 u1 ends where u1 w begins
+
+
+def refused(*args):
+    rels = build(*args)
+    return rels._replace(relations=rels.relations + (overlap,))
+
+
+cli.relation_set_E = refused
+assert "looptorsion.count" not in sys.modules
+sys.exit(cli.main(["torsion-primes", "--max-degree", "4"]))
+"""
+
+
+def test_a_refusal_from_a_count_loaded_inside_the_command_is_one_error_line():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", REFUSAL_SCRIPT], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "overlap" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
