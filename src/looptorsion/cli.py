@@ -5,9 +5,10 @@ usage error.  Exit codes: 0 on success, 1 when a verification fails,
 an internal check refuses the input or the computation runs out of
 memory or recursion depth, 2 on usage errors.  Long
 computations write per-step progress to stderr only, so stdout stays
-machine-parsable.  Each command imports only the modules it runs, so
-`census`, `classify`, `theorem2`, `recurrence` and `export-relations`
-start without loading `quotient`, `snf`, `count`, `series` or `json`.
+machine-parsable.  Each command imports only the modules it runs: the
+algebra modules (`quotient`, `count`, `snf`, `series`) load only in
+`torsion-primes`, `hilbert`, `order` and `verify`, and `json` only when
+JSON is written.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ from .presentation import (
     relation_set_E,
     rho,
 )
+
+
+def __getattr__(name: str):
+    # `cli.torsion_primes_up_to` is read from outside the package (the benchmark's
+    # tracer test); it resolves to `quotient`'s current binding, loading it on first access
+    if name == "torsion_primes_up_to":
+        from .quotient import torsion_primes_up_to
+
+        return torsion_primes_up_to
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _integers(text: str, count: int, usage: str) -> list[int]:

@@ -475,31 +475,32 @@ def run_module(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, runs_algebra",
     [
-        ["census", "1000"],
-        ["census", "1000", "--params", "1,2,3,4,5,6"],
-        ["classify", "41"],
-        ["theorem2", "2,3", "--bound", "50"],
-        ["recurrence", "6"],
-        ["export-relations"],
+        (["census", "1000"], False),
+        (["census", "1000", "--params", "1,2,3,4,5,6"], False),
+        (["classify", "41"], False),
+        (["theorem2", "2,3", "--bound", "50"], False),
+        (["recurrence", "6"], False),
+        (["export-relations"], False),
+        (["torsion-primes", "--max-degree", "4", "--json"], True),
+        (["hilbert", "--algebra", "AX", "--field", "13"], True),
     ],
-    ids=" ".join,
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
-def test_an_arithmetic_command_loads_no_algebra_module(argv):
+def test_a_command_loads_the_algebra_modules_only_if_it_runs_them(argv, runs_algebra):
     proc, imported = run_module(*argv)
     assert proc.returncode == 0 and proc.stdout
     assert "looptorsion.numtheory" in imported
-    assert not imported & ALGEBRA_MODULES
+    assert imported & ALGEBRA_MODULES == (ALGEBRA_MODULES if runs_algebra else set())
 
 
-@pytest.mark.parametrize(
-    "argv", [["torsion-primes", "--max-degree", "4", "--json"], ["hilbert", "--algebra", "AX", "--field", "13"]], ids=" ".join
-)
-def test_an_algebra_command_loads_its_modules_and_prints_what_main_prints(argv, capsys):
-    proc, imported = run_module(*argv)
-    assert ALGEBRA_MODULES <= imported
-    assert run_cli(capsys, *argv) == (proc.returncode, proc.stdout)
+def test_a_deferred_name_loads_its_module_on_first_access():
+    loaded = loaded_modules("import looptorsion.cli as cli; cli.torsion_primes_up_to")
+    assert "looptorsion.quotient" in loaded and "looptorsion.series" in loaded
+    assert cli.torsion_primes_up_to is quotient.torsion_primes_up_to
+    with pytest.raises(AttributeError):
+        cli.no_such_name
 
 
 REFUSAL_SCRIPT = """
