@@ -60,6 +60,8 @@ CASES = {
     "export_relations_AX_mixed_ungraded": [
         "export-relations", "--algebra", "AX", "--params", "1,-2,3,-4,5,-6", "--convention", "ungraded"
     ],
+    "verify": ["verify"],
+    "verify_json": ["verify", "--json"],
 }
 
 
