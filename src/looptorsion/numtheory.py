@@ -49,7 +49,6 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from .presentation import THEOREM1_PARAMS, Params
@@ -245,14 +244,6 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p), the Jacobi symbol at a prime; p must be an odd prime."""
-    _require_prime(p)
-    if p == 2:
-        raise ValueError("the Legendre symbol needs an odd prime")
-    return _jacobi(a, p)
-
-
 def _baby_step_giant_step(g: int, h: int, n: int, p: int) -> int:
     """The x in [0, n) with g^x = h mod p, where g has order n."""
     step = isqrt(n - 1) + 1
@@ -298,14 +289,6 @@ def _discrete_log(g: int, h: int, p: int, n: int, primes: Iterable[int]) -> int:
     return x
 
 
-#: Entries kept by the caches of the two counted walks, `power_witness`
-#: and `divides_some_am`.  The test suite, which runs `verify` four times,
-#: asks them for about 4100 and 3700 distinct keys, so nothing is evicted
-#: there, and a long sweep cannot grow them without bound.
-_WALK_CACHE_SIZE = 8192
-
-
-@lru_cache(maxsize=_WALK_CACHE_SIZE)
 def power_witness(p: int) -> int | None:
     """Least m >= 2 with 2 + 3^m = 0 mod p, or None if no power works.
 
@@ -408,7 +391,6 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
     return PrimeClassification(p, "torsion", "power-witness", m)
 
 
-@lru_cache(maxsize=_WALK_CACHE_SIZE)
 def divides_some_am(params: Params, q: int) -> int | None:
     """Least m >= 2 with a_m = 0 mod q, or None when no a_m is.
 

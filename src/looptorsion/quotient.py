@@ -186,13 +186,10 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
     pieces, computed, factored = _counted(rels, max_degree)
     predicted: set[int] = set()
     warnings = list(rels.warnings)
-    for m, am, _ in coeff_sequence(rels.params, max(max_degree - 1, 2)):
-        if not 2 <= m <= max_degree - 1:
-            continue
+    # m = 2..max_degree - 1; the slice leaves no row when max_degree is 2
+    for m, am, _ in coeff_sequence(rels.params, max(max_degree - 1, 2))[: max_degree - 2]:
         if am == 0:
-            msg = f"a_{m} = 0 in range: torsion prediction for degree {m + 1} is void"
-            if msg not in warnings:
-                warnings.append(msg)
+            warnings.append(f"a_{m} = 0 in range: torsion prediction for degree {m + 1} is void")
             continue
         n = abs(am)
         if n not in factored:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from looptorsion import numtheory
@@ -18,6 +20,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" - {detail}"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def memoized_walks():
+    """Memoize the two exhaustive walks for the whole session.
+
+    The suite runs `verify` in process several times, and criteria 7i and
+    7ii walk the same primes again; each walk is a pure function, so one
+    answer per key serves them all.  Every caller reaches the walks as
+    attributes of `numtheory`, so patching them there covers each one.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("power_witness", "divides_some_am"):
+            patch.setattr(numtheory, name, functools.cache(getattr(numtheory, name)))
+        yield
 
 
 @pytest.fixture(scope="session")
