@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from looptorsion import snf
 from looptorsion.freealg import CONVENTIONS
 from looptorsion.presentation import THEOREM1_PARAMS, relation_set_AX, relation_set_E
 from looptorsion.quotient import ideal_spanning_matrix
+
+DIAGONALS = Path(__file__).resolve().parent / "golden" / "eliminator_diagonals.txt"
 
 
 def sparse(mat):
@@ -501,3 +504,24 @@ def test_coefficient_growth_stays_within_bound(monkeypatch):
         for n in range(top + 1):
             snf.smith_normal_form(ideal_spanning_matrix(rels, n).rows)
         assert 0 < largest.bit_length() <= bits
+
+
+def eliminator_diagonals() -> str:
+    """One line per block: its raw `_Eliminator.run()` diagonal, in order, for E 0-5 and AX 0-4."""
+    lines = []
+    for name, rels, top in (("E", relation_set_E(THEOREM1_PARAMS, 5), 5), ("AX", relation_set_AX(THEOREM1_PARAMS), 4)):
+        for n in range(top + 1):
+            for i, block in enumerate(snf._components(ideal_spanning_matrix(rels, n).rows)):
+                lines.append(f"{name} {n} {i}: " + ",".join(map(str, snf._Eliminator(block).run())))
+    return "\n".join(lines) + "\n"
+
+
+def test_eliminator_diagonals_match_golden():
+    # each block's diagonal lists |pivot| of every peel and pick in order, so it moves with
+    # most changes to the pivot order, also where the invariant factors stay the same
+    assert eliminator_diagonals() == DIAGONALS.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # rewrite the golden after an intended change of the pivot order: PYTHONPATH=src python tests/test_snf.py
+    DIAGONALS.write_text(eliminator_diagonals(), encoding="utf-8")
