@@ -280,6 +280,33 @@ def cmd_verify(args) -> int:
 COMMANDS = "recurrence torsion-primes classify hilbert order census theorem2 export-relations verify".split()
 
 
+def _params_flags(p) -> None:
+    p.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
+    p.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
+
+
+def _degree_flags(p) -> None:
+    p.add_argument(
+        "--max-degree",
+        type=int,
+        help=f"truncation degree (default: {E_DEFAULT_DEGREE} for E, {AX_DEFAULT_DEGREE} for AX)",
+    )
+
+
+def _algebra_flags(p) -> None:
+    p.add_argument("--algebra", choices=("E", "AX"), default="E", help="which presented algebra")
+    p.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
+
+
+def _out_flags(p) -> None:
+    p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+
+
+def _report_flags(p) -> None:
+    _out_flags(p)
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand or, when `only` names one, with that one alone.
 
@@ -290,72 +317,56 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="looptorsion", description=__doc__)
     metavar = "{" + ",".join(COMMANDS) + "}" if only else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
-    params.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
-    degree = argparse.ArgumentParser(add_help=False)
-    degree.add_argument(
-        "--max-degree",
-        type=int,
-        help=f"truncation degree (default: {E_DEFAULT_DEGREE} for E, {AX_DEFAULT_DEGREE} for AX)",
-    )
-    algebra = argparse.ArgumentParser(add_help=False)
-    algebra.add_argument("--algebra", choices=("E", "AX"), default="E", help="which presented algebra")
-    algebra.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    report = argparse.ArgumentParser(add_help=False, parents=[out])
-    report.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    relation_flags = [params, degree, algebra]
+    relation_flags = (_params_flags, _degree_flags, _algebra_flags)
+
+    def add(name, help, *flag_groups):
+        p = sub.add_parser(name, help=help)
+        for add_flags in flag_groups:
+            add_flags(p)
+        return p
 
     if only in (None, "recurrence"):
-        p = sub.add_parser("recurrence", parents=[params, report], help="print the coefficient table (m, a_m, b_m)")
+        p = add("recurrence", "print the coefficient table (m, a_m, b_m)", _params_flags, _report_flags)
         p.add_argument("M", type=int, help="largest index m")
         p.set_defaults(func=cmd_recurrence)
 
     if only in (None, "torsion-primes"):
-        p = sub.add_parser(
-            "torsion-primes", parents=[*relation_flags, report], help="graded pieces, divisors and torsion primes"
-        )
+        p = add("torsion-primes", "graded pieces, divisors and torsion primes", *relation_flags, _report_flags)
         p.set_defaults(func=cmd_torsion_primes)
 
     if only in (None, "classify"):
-        p = sub.add_parser("classify", parents=[params, report], help="torsion verdict for one prime")
+        p = add("classify", "torsion verdict for one prime", _params_flags, _report_flags)
         p.add_argument("p", type=int, help="the prime to classify")
         p.set_defaults(func=cmd_classify)
 
     if only in (None, "hilbert"):
-        p = sub.add_parser(
-            "hilbert", parents=[*relation_flags, report], help="dimension series and loop-space Poincare series"
-        )
+        p = add("hilbert", "dimension series and loop-space Poincare series", *relation_flags, _report_flags)
         p.add_argument("--field", default="Q", help="coefficient field: a prime or Q (default Q)")
         p.set_defaults(func=cmd_hilbert)
 
     if only in (None, "order"):
-        p = sub.add_parser("order", parents=[params, algebra, report], help="order of an element in a graded quotient")
+        p = add("order", "order of an element in a graded quotient", _params_flags, _algebra_flags, _report_flags)
         p.add_argument("--rho", metavar="I,M", help="use the element rho(I,M)")
         p.add_argument("--element", metavar="TEXT", help="element in text format")
         p.set_defaults(func=cmd_order)
 
     if only in (None, "census"):
-        p = sub.add_parser("census", parents=[params, report], help="per-residue-class torsion census of primes")
+        p = add("census", "per-residue-class torsion census of primes", _params_flags, _report_flags)
         p.add_argument("bound", type=int, help="classify all primes below this bound")
         p.set_defaults(func=cmd_census)
 
     if only in (None, "theorem2"):
-        p = sub.add_parser("theorem2", parents=[report], help="classify primes for a product-family instance")
+        p = add("theorem2", "classify primes for a product-family instance", _report_flags)
         p.add_argument("primes", help="comma-separated excluded primes")
         p.add_argument("--bound", type=int, default=200, help="classify primes below this bound")
         p.set_defaults(func=cmd_theorem2)
 
     if only in (None, "export-relations"):
-        p = sub.add_parser(
-            "export-relations", parents=[*relation_flags, out], help="write a relation set in the text format"
-        )
+        p = add("export-relations", "write a relation set in the text format", *relation_flags, _out_flags)
         p.set_defaults(func=cmd_export_relations)
 
     if only in (None, "verify"):
-        p = sub.add_parser("verify", parents=[report], help="run the consolidated consistency suite")
+        p = add("verify", "run the consolidated consistency suite", _report_flags)
         p.add_argument("--relations", metavar="PATH", help="also validate an exported relation file")
         p.set_defaults(func=cmd_verify)
 

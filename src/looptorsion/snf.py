@@ -32,10 +32,15 @@ eliminates every block and merges all the block diagonals into one
 divisibility chain over a coprime base: factor refinement by gcd turns
 the distinct diagonal values into pairwise coprime numbers, and each
 one's exponents are dealt to the invariant factors from the top.  The
-peel runs inside each block's eliminator.  A peel of the whole matrix
-before the split holds a row and column index of the whole matrix at
-once: tried that way, it raised the peak memory of the E degree 6 plus
-AX degree 4 torsion reports from 24 to 33 MB and saved no time.
+split copies no row and filters a row's zeros only when the row holds
+an explicit 0; each block's eliminator takes one copy of each of its
+rows and indexes its columns in the same pass, and changes only those
+copies, so the caller's rows (cached matrices among them) stay as they
+were.  The peel runs inside each block's eliminator.  A peel of the
+whole matrix before the split holds a row and column index of the whole
+matrix at once: tried that way, it raised the peak memory of the E
+degree 6 plus AX degree 4 torsion reports from 24 to 33 MB and saved no
+time.
 
 Element orders come from the Smith form alone.  The order of a vector v
 modulo a lattice L is the index of L in M = L + Z v when M has the rank
@@ -81,7 +86,7 @@ class _Eliminator:
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
         for rid, row in enumerate(rows):
-            r = {c: v for c, v in row.items() if v}
+            r = {c: v for c, v in row.items() if v} if 0 in row.values() else dict(row)
             if not r:
                 continue
             self.rows[rid] = r
@@ -243,12 +248,13 @@ def _components(rows) -> list[list[SparseRow]]:
 
     kept = []
     for row in rows:
-        support = [c for c, v in row.items() if v]
-        if not support:
+        support = iter([c for c, v in row.items() if v] if 0 in row.values() else row)
+        first = next(support, None)
+        if first is None:
             continue
-        kept.append((row, support[0]))
-        root = find(parent.setdefault(support[0], support[0]))
-        for c in support[1:]:
+        kept.append((row, first))
+        root = find(parent.setdefault(first, first))
+        for c in support:
             r = find(parent.setdefault(c, c))
             if r != root:
                 parent[r] = root
@@ -349,23 +355,28 @@ def order_in_quotient(rows, vector: SparseRow):
 def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p by sparse Gaussian elimination.
 
-    Each row is reduced mod p against the pivot rows kept so far, lowest
-    column first; a row left nonzero becomes the pivot row of its lowest
-    column, scaled to a leading 1.  The rank is the number of pivot rows.
+    Each row is reduced mod p once, then against the pivot rows kept so
+    far, lowest column first; a row left nonzero becomes the pivot row of
+    its lowest column.  A pivot row is kept without its lead and scaled
+    by the lead's inverse (only when the lead is not 1), so that it stands
+    for a row with a leading 1, and reducing by it pops the lead instead
+    of computing a zero.  The rank is the number of pivot rows.
     """
     if p < 2:
         raise ValueError("field characteristic must be a prime")
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        work = {c: v % p for c, v in row.items() if v % p}
+        work = {c: r for c, v in row.items() if (r := v % p)}
         while work:
             lead = min(work)
+            f = work.pop(lead)
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(work[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in work.items()}
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    work = {c: v * inv % p for c, v in work.items()}
+                pivots[lead] = work
                 break
-            f = work[lead]
             for c, v in piv.items():
                 nv = (work.get(c, 0) - f * v) % p
                 if nv:

@@ -506,6 +506,39 @@ def test_coefficient_growth_stays_within_bound(monkeypatch):
         assert 0 < largest.bit_length() <= bits
 
 
+def test_oracles_leave_cached_rows_unchanged_and_ignore_zeros():
+    rng = random.Random(79)
+    for rels, top in ((relation_set_E(THEOREM1_PARAMS, 4), 4), (relation_set_AX(THEOREM1_PARAMS), 3)):
+        for n in range(2, top + 1):
+            matrix = ideal_spanning_matrix(rels, n)
+            rows, ncols = matrix.rows, matrix.ncols
+            before = [dict(row) for row in rows]
+            invs = snf.smith_normal_form(rows)
+            ranks = {p: snf.rank_mod_p(rows, p) for p in (2, 3, 7, 83)}
+            vec = {c: rng.choice((-2, -1, 1, 3)) for c in rng.sample(range(ncols), 3)}
+            order = snf.order_in_quotient(rows, vec)
+            # the oracles work on copies: the cached rows are the same objects, unchanged
+            assert ideal_spanning_matrix(rels, n) is matrix
+            assert rows == before
+            # explicit zeros, in another row's column, in a new column and as a whole row,
+            # change no result; nor do they in the vector, which is not changed either
+            padded = [{**row, rng.randrange(ncols + 1): 0, ncols: 0} | row for row in rows] + [{0: 0}]
+            assert snf.smith_normal_form(padded) == invs
+            zeroed = {**vec, ncols: 0, rng.randrange(ncols): 0} | vec
+            kept = dict(zeroed)
+            assert snf.order_in_quotient(padded, zeroed) == order
+            assert snf.order_in_quotient(rows, zeroed) == order
+            assert zeroed == kept
+            for p, rank in ranks.items():
+                assert rank == rank_mod_p_from_dense_snf(invs[0], p)
+                assert snf.rank_mod_p(padded, p) == rank
+                # scaled by p - 1 (a unit), a row whose lead was 1 leads with p - 1; adding
+                # multiples of p, in the row's columns and in a new one, changes nothing mod p
+                shifted = [{c: (p - 1) * v + p * (c % 3) for c, v in row.items()} | {ncols + 1: -p} for row in rows]
+                assert snf.rank_mod_p(shifted, p) == rank
+            assert rows == before
+
+
 def eliminator_diagonals() -> str:
     """One line per block: its raw `_Eliminator.run()` diagonal, in order, for E 0-5 and AX 0-4."""
     lines = []
