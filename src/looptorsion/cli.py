@@ -5,10 +5,12 @@ usage error.  Exit codes: 0 on success, 1 when a verification fails,
 an internal check refuses the input or the computation runs out of
 memory or recursion depth, 2 on usage errors.  Long
 computations write per-step progress to stderr only, so stdout stays
-machine-parsable.  Each command imports only the modules it runs: the
-algebra modules (`quotient`, `count`, `snf`, `series`) load only in
-`torsion-primes`, `hilbert`, `order` and `verify`, and `json` only when
-JSON is written.
+machine-parsable.  Each command imports only the modules it runs:
+`census`, `classify`, `theorem2` and `recurrence` load `numtheory`
+alone; `presentation` and `freealg` load only in the other five
+commands, the algebra modules (`quotient`, `count`, `snf`, `series`)
+only in `torsion-primes`, `hilbert`, `order` and `verify`, and `json`
+only when JSON is written.
 """
 
 from __future__ import annotations
@@ -17,20 +19,6 @@ import argparse
 import sys
 
 from . import numtheory
-from .freealg import CONVENTIONS, DEFAULT_CONVENTION, format_element, parse_element
-from .presentation import (
-    AX_DEFAULT_DEGREE,
-    AX_NUM_GENS,
-    E_DEFAULT_DEGREE,
-    E_NUM_GENS,
-    Params,
-    THEOREM1_PARAMS,
-    coeff_sequence,
-    format_relation_set,
-    relation_set_AX,
-    relation_set_E,
-    rho,
-)
 
 
 def __getattr__(name: str):
@@ -51,19 +39,21 @@ def _integers(text: str, count: int, usage: str) -> list[int]:
     return values
 
 
-def _params_from(args) -> Params:
+def _params_from(args) -> numtheory.Params:
     # an empty value is given, not absent: "--params=" is refused, "--theorem2=" excludes no prime
     if args.params is not None and args.theorem2 is not None:
         raise ValueError("--params and --theorem2 are mutually exclusive")
     if args.params is not None:
-        return Params(*_integers(args.params, 6, "--params needs exactly six integers"))
+        return numtheory.Params(*_integers(args.params, 6, "--params needs exactly six integers"))
     if args.theorem2 is not None:
         primes = [int(x) for x in args.theorem2.split(",") if x]
         return numtheory.theorem2_params(primes)
-    return THEOREM1_PARAMS
+    return numtheory.THEOREM1_PARAMS
 
 
-def _relations(args, params: Params):
+def _relations(args, params: numtheory.Params):
+    from .presentation import AX_DEFAULT_DEGREE, E_DEFAULT_DEGREE, relation_set_AX, relation_set_E
+
     if args.algebra == "AX":
         maxdeg = AX_DEFAULT_DEGREE if args.max_degree is None else args.max_degree
         return relation_set_AX(params, args.convention), maxdeg
@@ -87,7 +77,7 @@ def _emit_json(args, payload) -> None:
 
 def cmd_recurrence(args) -> int:
     params = _params_from(args)
-    rows = coeff_sequence(params, args.M)
+    rows = numtheory.coeff_sequence(params, args.M)
     if args.json:
         _emit_json(args, {"params": str(params), "rows": [{"m": m, "a_m": a, "b_m": b} for m, a, b in rows]})
     else:
@@ -121,7 +111,7 @@ def cmd_torsion_primes(args) -> int:
 
 def cmd_classify(args) -> int:
     params = _params_from(args)
-    if params == THEOREM1_PARAMS:
+    if params == numtheory.THEOREM1_PARAMS:
         cls = numtheory.classify_prime_theorem1(args.p)
         expectation = numtheory.RULE_EXPECTATION.get(args.p % 24)
     else:
@@ -172,6 +162,8 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .freealg import format_element, parse_element
+    from .presentation import AX_NUM_GENS, E_NUM_GENS, relation_set_AX, relation_set_E, rho
     from .quotient import element_order
 
     params = _params_from(args)
@@ -243,6 +235,8 @@ def cmd_theorem2(args) -> int:
 
 
 def cmd_export_relations(args) -> int:
+    from .presentation import format_relation_set
+
     params = _params_from(args)
     if args.algebra == "AX" and args.max_degree is not None:
         raise ValueError("--max-degree does not apply to --algebra AX, whose 13 relations are all quadratic")
@@ -286,6 +280,8 @@ def _params_flags(p) -> None:
 
 
 def _degree_flags(p) -> None:
+    from .presentation import AX_DEFAULT_DEGREE, E_DEFAULT_DEGREE
+
     p.add_argument(
         "--max-degree",
         type=int,
@@ -294,6 +290,8 @@ def _degree_flags(p) -> None:
 
 
 def _algebra_flags(p) -> None:
+    from .freealg import CONVENTIONS, DEFAULT_CONVENTION
+
     p.add_argument("--algebra", choices=("E", "AX"), default="E", help="which presented algebra")
     p.add_argument("--convention", choices=CONVENTIONS, default=DEFAULT_CONVENTION)
 

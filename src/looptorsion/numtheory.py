@@ -40,6 +40,12 @@ it (the smallest offenders are p = 103 in class 7 and p = 41 in
 class 17).  The order test's use of (3/p) is not that heuristic: a
 non-residue fixes only the 2-part of ord_p(3), and every odd prime
 factor of p - 1 is still tested by a power.
+
+The module also owns the six-parameter record `Params`, the reference
+instance `THEOREM1_PARAMS` and `coeff_sequence`, the exact form of the
+recurrence the walks follow mod p.  It imports nothing from the
+package, so the arithmetic commands load it without the algebra;
+`presentation` re-exports the three names as the same objects.
 """
 
 from __future__ import annotations
@@ -51,7 +57,37 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from math import gcd, isqrt, prod
 
-from .presentation import THEOREM1_PARAMS, Params
+
+class Params(namedtuple("Params", "a b c d a2 b2")):
+    """The six integers parameterizing the construction."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return "a={} b={} c={} d={} a2={} b2={}".format(*self)
+
+
+#: The instance whose torsion primes are governed by 2 + 3^m: with these
+#: values the recurrence below has the closed form a_m = 2 + 3^m,
+#: b_m = 2 + 3^(m-1).
+THEOREM1_PARAMS = Params(a=0, b=4, c=-3, d=1, a2=11, b2=5)
+
+
+def coeff_sequence(params: Params, max_m: int) -> list[tuple[int, int, int]]:
+    """Rows (m, a_m, b_m) for m = 2..max_m, evaluated exactly.
+
+    Seeded by (a2, b2); for m >= 3,
+    a_m = a + b*a_{m-1} + c*b_{m-1} and b_m = d*a_{m-1}.
+    """
+    if max_m < 2:
+        raise ValueError("max_m must be at least 2")
+    am, bm = params.a2, params.b2
+    rows = [(2, am, bm)]
+    for m in range(3, max_m + 1):
+        am, bm = params.a + params.b * am + params.c * bm, params.d * am
+        rows.append((m, am, bm))
+    return rows
+
 
 #: The first 13 prime bases decide primality below this bound (the least
 #: strong pseudoprime to all of them, about 3.3e24).
@@ -195,16 +231,18 @@ def _smallest_prime_factors(bound: int, primes: list[int]) -> array:
     return spf
 
 
-_SMALL_PRIMES = sieve_primes(10_000)
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}."""
+    """Prime factorization of |n| as {prime: exponent}.
+
+    Trial division by 2 and the odd d below 10^4 with d*d <= n, then
+    Pollard rho on what is left.  A composite d never divides: its prime
+    factors are smaller and were removed before it is reached.
+    """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in itertools.chain((2,), range(3, 10_000, 2)):
         if p * p > n:
             break
         while n % p == 0:

@@ -2,7 +2,10 @@
 
 Six integer parameters (a, b, c, d, a2, b2) drive everything:
 
-* an affine integer recurrence producing coefficient pairs (a_m, b_m);
+* an affine integer recurrence producing coefficient pairs (a_m, b_m)
+  (`coeff_sequence`; it, the record `Params` and the reference instance
+  `THEOREM1_PARAMS` live in `numtheory`, which needs no algebra, and
+  are the same objects here);
 * iterated-bracket elements sigma, rho, tau in the inner algebra on
   u1..u4, v, w;
 * the relation family S = {tau_m} u {a_m * rho_{4,m+1}} presenting the
@@ -34,43 +37,13 @@ from .freealg import (
     parse_element,
     GENERATOR_NAMES,
 )
+from .numtheory import THEOREM1_PARAMS, Params, coeff_sequence  # also read from here by callers
 
 E_NUM_GENS = 6
 AX_NUM_GENS = 8
 #: Truncation degrees the commands use when no --max-degree is given.
 E_DEFAULT_DEGREE = 5
 AX_DEFAULT_DEGREE = 4
-
-
-class Params(namedtuple("Params", "a b c d a2 b2")):
-    """The six integers parameterizing the construction."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return "a={} b={} c={} d={} a2={} b2={}".format(*self)
-
-
-#: The instance whose torsion primes are governed by 2 + 3^m: with these
-#: values the recurrence below has the closed form a_m = 2 + 3^m,
-#: b_m = 2 + 3^(m-1).
-THEOREM1_PARAMS = Params(a=0, b=4, c=-3, d=1, a2=11, b2=5)
-
-
-def coeff_sequence(params: Params, max_m: int) -> list[tuple[int, int, int]]:
-    """Rows (m, a_m, b_m) for m = 2..max_m, evaluated exactly.
-
-    Seeded by (a2, b2); for m >= 3,
-    a_m = a + b*a_{m-1} + c*b_{m-1} and b_m = d*a_{m-1}.
-    """
-    if max_m < 2:
-        raise ValueError("max_m must be at least 2")
-    am, bm = params.a2, params.b2
-    rows = [(2, am, bm)]
-    for m in range(3, max_m + 1):
-        am, bm = params.a + params.b * am + params.c * bm, params.d * am
-        rows.append((m, am, bm))
-    return rows
 
 
 @lru_cache(maxsize=None)

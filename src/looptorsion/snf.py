@@ -175,12 +175,24 @@ class _Eliminator:
     def _process_pivot(self, rid: int, col: int) -> None:
         rows, cols = self.rows, self.cols
         while True:
+            val = rows[rid][col]
+            if val == 1 or val == -1:
+                # A unit divides everything: the column clears with exact
+                # quotients, each touching only its own row, so their order
+                # is immaterial; the row phase would then delete every
+                # other entry of the pivot row, so the row simply goes.
+                for r in cols[col] - {rid}:
+                    self._axpy(r, rid, -rows[r][col] * val)
+                for c in rows.pop(rid):
+                    cols[c].discard(rid)
+                del cols[col]
+                self.diag.append(1)
+                return
             # Column phase: clear every other entry in the pivot column.
             # A nonzero remainder means the pivot did not divide an entry;
             # the remainder is strictly smaller, so adopt it as the pivot
             # and start over.  Terminates because |pivot| shrinks.
             restart = False
-            val = rows[rid][col]
             for r in sorted(cols[col] - {rid}):
                 q = _nearest_quotient(rows[r][col], val)
                 if q:

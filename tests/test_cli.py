@@ -461,7 +461,7 @@ ALGEBRA_MODULES = {"looptorsion.quotient", "looptorsion.snf", "looptorsion.count
 def test_cli_import_loads_no_algebra_module_nor_json():
     loaded = loaded_modules("import looptorsion.cli")
     assert "looptorsion.cli" in loaded
-    assert not loaded & {*ALGEBRA_MODULES, "looptorsion.series", "json"}
+    assert not loaded & {*ALGEBRA_MODULES, "looptorsion.series", "looptorsion.presentation", "looptorsion.freealg", "json"}
 
 
 def run_module(*argv):
@@ -479,6 +479,7 @@ def run_module(*argv):
         (["census", "1000"], False),
         (["census", "1000", "--params", "1,2,3,4,5,6"], False),
         (["classify", "41"], False),
+        (["classify", "1009", "--params", "1,2,3,4,5,6"], False),
         (["theorem2", "2,3", "--bound", "50"], False),
         (["recurrence", "6"], False),
         (["export-relations"], False),
@@ -492,6 +493,9 @@ def test_a_command_loads_the_algebra_modules_only_if_it_runs_them(argv, runs_alg
     assert proc.returncode == 0 and proc.stdout
     assert "looptorsion.numtheory" in imported
     assert imported & ALGEBRA_MODULES == (ALGEBRA_MODULES if runs_algebra else set())
+    if argv[0] in ("census", "classify", "theorem2", "recurrence"):
+        # the arithmetic commands need neither the relation families nor the free algebra
+        assert {m for m in imported if m.startswith("looptorsion")} == {"looptorsion", "looptorsion.cli", "looptorsion.numtheory"}
 
 
 def test_a_deferred_name_loads_its_module_on_first_access():
@@ -504,11 +508,11 @@ def test_a_deferred_name_loads_its_module_on_first_access():
 
 REFUSAL_SCRIPT = """
 import sys
-from looptorsion import cli
+from looptorsion import cli, presentation
 from looptorsion.freealg import U1, U4, Element
 from looptorsion.presentation import Relation
 
-build = cli.relation_set_E
+build = presentation.relation_set_E
 overlap = Relation("overlap", Element({(U4, U1): 1}), 2)  # u4 u1 ends where u1 w begins
 
 
@@ -517,7 +521,7 @@ def refused(*args):
     return rels._replace(relations=rels.relations + (overlap,))
 
 
-cli.relation_set_E = refused
+presentation.relation_set_E = refused
 assert "looptorsion.count" not in sys.modules
 sys.exit(cli.main(["torsion-primes", "--max-degree", "4"]))
 """

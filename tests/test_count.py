@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptorsion import cli, count, numtheory, quotient, snf
+from looptorsion import cli, count, numtheory, presentation, quotient, snf
 from looptorsion.freealg import CONVENTIONS, GRADED, U1, U2, U4, W, Element
 from looptorsion.presentation import (
     Params,
@@ -267,8 +267,8 @@ def test_count_refuses_an_AX_set_that_is_not_the_generated_one():
 
 @pytest.mark.parametrize("bad", [OVERLAPPING, NON_MONIC], ids=lambda r: r.tag)
 def test_cli_reports_a_refused_set_as_an_error_with_exit_1(bad, monkeypatch, capsys):
-    build = cli.relation_set_E
-    monkeypatch.setattr(cli, "relation_set_E", lambda *args: mutated(build(*args), bad))
+    build = presentation.relation_set_E
+    monkeypatch.setattr(presentation, "relation_set_E", lambda *args: mutated(build(*args), bad))
     for command in (["torsion-primes"], ["hilbert", "--field", "11"]):
         assert cli.main([*command, "--max-degree", "4"]) == 1
         captured = capsys.readouterr()

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from looptorsion import numtheory as nt
@@ -78,6 +80,34 @@ def test_factorize():
     assert nt.factorize(1) == {}
     with pytest.raises(ValueError):
         nt.factorize(0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 10**24))
+@example(9973**2)  # the last trial divisor, squared
+@example(9973 * 10007)  # one factor on each side of 10^4
+@example(10007 * 10009)  # both above the trial divisors, so Pollard rho splits it
+@example(10**8 + 7)  # a prime just above the square of the bound
+@example(10**24)
+def test_factorize_matches_sympy(n):
+    assert nt.factorize(n) == sympy.factorint(n)
+
+
+def test_numtheory_imports_nothing_from_the_package():
+    tree = ast.parse(Path(nt.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    assert not [node for node in imports if isinstance(node, ast.ImportFrom) and node.level]
+    names = {alias.name for node in imports for alias in node.names}
+    names |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    assert not {name for name in names if name.startswith("looptorsion")}
+
+
+def test_presentation_reexports_the_arithmetic_names_as_the_same_objects():
+    from looptorsion import presentation
+
+    for name in ("Params", "THEOREM1_PARAMS", "coeff_sequence"):
+        assert getattr(presentation, name) is getattr(nt, name)
 
 
 def test_legendre_examples():
