@@ -1,7 +1,8 @@
 """Byte-for-byte golden outputs of the CLI.
 
 Each case runs the CLI in process and compares its stdout with the file
-of the same name under tests/golden/.  After an intended change of a
+of the same name under tests/golden/; for a refused command, the file
+holds its stderr and the case also pins the exit code.  After an intended change of a
 report, rewrite the files with `PYTHONPATH=src python tests/test_golden.py`
 and review the diff.
 """
@@ -40,7 +41,17 @@ CASES = {
     ],
     "hilbert_E6_mixed_field3": ["hilbert", "--params", "1,-2,3,-4,5,-6", "--field", "3", "--max-degree", "6"],
     "hilbert_E_a2_zero_field2": ["hilbert", "--params", "0,1,1,1,0,3", "--field", "2"],
+    "hilbert_E0": ["hilbert", "--max-degree", "0"],
+    "hilbert_E1": ["hilbert", "--max-degree", "1"],
+    "hilbert_E0_field5": ["hilbert", "--max-degree", "0", "--field", "5"],
+    "hilbert_E1_field5": ["hilbert", "--max-degree", "1", "--field", "5"],
+    "hilbert_AX0": ["hilbert", "--algebra", "AX", "--max-degree", "0"],
+    "hilbert_AX1": ["hilbert", "--algebra", "AX", "--max-degree", "1"],
+    "hilbert_AX0_field5": ["hilbert", "--algebra", "AX", "--max-degree", "0", "--field", "5"],
+    "hilbert_AX1_field5": ["hilbert", "--algebra", "AX", "--max-degree", "1", "--field", "5"],
     "order_rho_4_5": ["order", "--rho", "4,5"],
+    "order_element_u1": ["order", "--element", "1*u1"],
+    "order_AX_element_u1": ["order", "--algebra", "AX", "--element", "1*u1"],
     "order_AX_rho_4_4_json": ["order", "--algebra", "AX", "--rho", "4,4", "--json"],
     "classify_41_json": ["classify", "41", "--json"],
     "classify_103": ["classify", "103"],
@@ -64,6 +75,11 @@ CASES = {
     "verify_json": ["verify", "--json"],
 }
 
+#: Refused commands: the golden file holds stderr, and stdout must stay empty.
+REFUSALS = {
+    "recurrence_1_refused": (["recurrence", "1"], 2),
+}
+
 
 def run(argv) -> str:
     out = io.StringIO()
@@ -72,12 +88,29 @@ def run(argv) -> str:
     return out.getvalue()
 
 
+def run_refused(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert out.getvalue() == ""
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert run(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_cli_refusal_matches_golden(name):
+    argv, code = REFUSALS[name]
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert run_refused(argv) == (code, expected)
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         (GOLDEN_DIR / f"{name}.txt").write_text(run(argv), encoding="utf-8")
+    for name, (argv, _) in REFUSALS.items():
+        (GOLDEN_DIR / f"{name}.txt").write_text(run_refused(argv)[1], encoding="utf-8")
