@@ -1,9 +1,11 @@
 """The derivation action of x1, x2 and the twisted-tensor identification.
 
 x1 and x2 act on the inner algebra by derivations determined by their
-values on generators, which `presentation.derivation_images` lists.
-The action is engineered so that x1 sends tau_m to tau_{m+1} and x2
-sends tau_m to a_m * rho(4, m+1), which is why the relation ideal is
+values on generators.  A derivation is that table of images, the dict
+`presentation.derivation_images` returns; `check_preserves_ideal` lets
+it act under the sign convention of the relation set it checks.  The
+action is engineered so that x1 sends tau_m to tau_{m+1} and x2 sends
+tau_m to a_m * rho(4, m+1), which is why the relation ideal is
 preserved.  At the level of graded abelian groups this identifies the
 full algebra with the free algebra on x1, x2 tensored with the inner
 algebra, giving the dimension identity
@@ -35,42 +37,27 @@ from .quotient import dimension, element_order, graded_piece
 _X_NAMES = {X1: "x1", X2: "x2"}
 
 
-class DerivationSpec:
-    """Generator images of the two derivations on the inner algebra.
-
-    `images` maps (x, generator) to a degree-2 element; a custom mapping
-    may be supplied to probe corrupted actions.
-    """
-
-    def __init__(self, params: Params, convention: str, images=None):
-        if convention not in CONVENTIONS:
-            raise ValueError(f"unknown sign convention {convention!r}")
-        self.params = params
-        self.convention = convention
-        self.images = dict(images) if images is not None else derivation_images(params, convention)
-
-    def replaced(self, x: int, gen: int, element: Element) -> "DerivationSpec":
-        """Copy of this spec with one generator image overridden."""
-        images = dict(self.images)
-        images[(x, gen)] = element
-        return DerivationSpec(self.params, self.convention, images)
-
-
-def act(x: int, f: Element, spec: DerivationSpec) -> Element:
+def act(x: int, f: Element, images: dict, convention: str) -> Element:
     """Apply a derivation to a homogeneous element by the Leibniz rule.
+
+    `images` maps each (x, generator) to its image, as
+    `presentation.derivation_images` builds it; a changed table probes a
+    corrupted action.
 
     graded:   x*(fg) = (x*f) g + (-1)^{|f|} f (x*g);
     ungraded: x*(fg) = (x*f) g + f (x*g).
     """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown sign convention {convention!r}")
     if x not in (X1, X2):
         raise ValueError("the acting generator must be x1 or x2")
     if not f.is_homogeneous():
         raise ValueError("the action is defined degreewise; element is not homogeneous")
-    graded = spec.convention == GRADED
+    graded = convention == GRADED
     out: dict = {}
     for word, coeff in f.terms.items():
         for k, g in enumerate(word):
-            img = spec.images[(x, g)]
+            img = images[(x, g)]
             if not img.terms:
                 continue
             c = -coeff if (graded and k % 2 == 1) else coeff
@@ -86,14 +73,15 @@ def act(x: int, f: Element, spec: DerivationSpec) -> Element:
     return Element(out)
 
 
-def check_preserves_ideal(spec: DerivationSpec, rels: RelationSet, maxdeg: int) -> dict:
+def check_preserves_ideal(images: dict, rels: RelationSet, maxdeg: int) -> dict:
     """Whether x1 and x2 map each relation into the ideal, integrally.
 
-    For every relation s of degree <= maxdeg - 1 and each derivation,
-    tests membership of the image in the integer row span of the ideal
-    in degree deg(s) + 1 (order 1 in the quotient).  Membership over the
-    integers, not just the rationals, is what makes the induced action
-    on the quotient well defined over Z.
+    The derivations act by the generator images `images` under the sign
+    convention of `rels`.  For every relation s of degree <= maxdeg - 1
+    and each derivation, tests membership of the image in the integer
+    row span of the ideal in degree deg(s) + 1 (order 1 in the
+    quotient).  Membership over the integers, not just the rationals, is
+    what makes the induced action on the quotient well defined over Z.
     """
     if maxdeg < 2:
         raise ValueError("maxdeg must be at least 2")
@@ -103,13 +91,13 @@ def check_preserves_ideal(spec: DerivationSpec, rels: RelationSet, maxdeg: int) 
         if rel.degree > maxdeg - 1:
             continue
         for x in (X1, X2):
-            img = act(x, rel.element, spec)
+            img = act(x, rel.element, images, rels.convention)
             member = img.is_zero() or element_order(img, rels, rel.degree + 1) == 1
             ok = ok and member
             checks.append(
                 {"x": _X_NAMES[x], "relation": rel.tag, "degree": rel.degree + 1, "in_ideal": member}
             )
-    return {"convention": spec.convention, "checks": checks, "ok": ok}
+    return {"convention": rels.convention, "checks": checks, "ok": ok}
 
 
 def semi_tensor_dimension_check(params: Params, field, max_degree: int, convention: str) -> dict:
@@ -120,7 +108,7 @@ def semi_tensor_dimension_check(params: Params, field, max_degree: int, conventi
     elementary-divisor multisets on both sides.
     """
     rels_ax = relation_set_AX(params, convention)
-    rels_e = relation_set_E(params, max(max_degree, 2), convention)
+    rels_e = relation_set_E(params, max_degree, convention)
     dims_e = [dimension(rels_e, j, field) for j in range(max_degree + 1)]
     degrees = []
     ok = True
@@ -163,7 +151,7 @@ def select_convention() -> dict:
     passing = []
     for convention in CONVENTIONS:
         rels_e = relation_set_E(THEOREM1_PARAMS, 4, convention)
-        preserves = check_preserves_ideal(DerivationSpec(THEOREM1_PARAMS, convention), rels_e, 4)
+        preserves = check_preserves_ideal(derivation_images(THEOREM1_PARAMS, convention), rels_e, 4)
         semi = [semi_tensor_dimension_check(THEOREM1_PARAMS, f, 4, convention) for f in ("Q", 5, 11, 13)]
         ok = preserves["ok"] and all(s["ok"] for s in semi)
         if ok:

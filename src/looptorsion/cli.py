@@ -1,16 +1,10 @@
-"""Command-line front end with deterministic text and JSON reports.
+"""Command-line front end; `DESCRIPTION`, its help text, gives the exit codes.
 
-Each subcommand takes only the flags it reads; an unknown flag is a
-usage error.  Exit codes: 0 on success, 1 when a verification fails,
-an internal check refuses the input or the computation runs out of
-memory or recursion depth, 2 on usage errors.  Long
-computations write per-step progress to stderr only, so stdout stays
-machine-parsable.  Each command imports only the modules it runs:
-`census`, `classify`, `theorem2` and `recurrence` load `numtheory`
-alone; `presentation` and `freealg` load only in the other five
-commands, the algebra modules (`quotient`, `count`, `snf`, `series`)
-only in `torsion-primes`, `hilbert`, `order` and `verify`, and `json`
-only when JSON is written.
+Each command imports only the modules it runs: `census`, `classify`,
+`theorem2` and `recurrence` load `numtheory` alone; `presentation` and
+`freealg` load only in the other five commands, the algebra modules
+(`quotient`, `count`, `snf`, `series`) only in `torsion-primes`,
+`hilbert`, `order` and `verify`, and `json` only when JSON is written.
 """
 
 from __future__ import annotations
@@ -19,6 +13,16 @@ import argparse
 import sys
 
 from . import numtheory
+
+#: What `looptorsion --help` says of the tool.
+DESCRIPTION = (
+    "Exact graded groups, torsion primes, dimensions and prime censuses for the algebras E and AX "
+    "of six integer parameters, as deterministic text or JSON reports. "
+    "Each subcommand takes only the flags it reads; an unknown flag is a usage error. "
+    "Exit codes: 0 on success, 1 when a verification fails, an internal check refuses the input "
+    "or the computation runs out of memory or recursion depth, 2 on usage errors. "
+    "Long computations write per-step progress to stderr only, so stdout stays machine-parsable."
+)
 
 
 def __getattr__(name: str):
@@ -58,7 +62,7 @@ def _relations(args, params: numtheory.Params):
         maxdeg = AX_DEFAULT_DEGREE if args.max_degree is None else args.max_degree
         return relation_set_AX(params, args.convention), maxdeg
     maxdeg = E_DEFAULT_DEGREE if args.max_degree is None else args.max_degree
-    return relation_set_E(params, max(maxdeg, 2), args.convention), maxdeg
+    return relation_set_E(params, maxdeg, args.convention), maxdeg
 
 
 def _emit(args, text: str) -> None:
@@ -77,6 +81,8 @@ def _emit_json(args, payload) -> None:
 
 def cmd_recurrence(args) -> int:
     params = _params_from(args)
+    if args.M < 2:
+        raise ValueError("max_m must be at least 2")
     rows = numtheory.coeff_sequence(params, args.M)
     if args.json:
         _emit_json(args, {"params": str(params), "rows": [{"m": m, "a_m": a, "b_m": b} for m, a, b in rows]})
@@ -182,7 +188,7 @@ def cmd_order(args) -> int:
     if args.algebra == "AX":
         rels = relation_set_AX(params, args.convention)
     else:
-        rels = relation_set_E(params, max(degree, 2), args.convention)
+        rels = relation_set_E(params, degree, args.convention)
     order = element_order(elem, rels, degree)
     rendered = "infinite" if order is None else str(order)
     if args.json:
@@ -312,7 +318,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     usage line, and the full build keeps argparse's default, so its errors name the argument "command".
     """
     only = only if only in COMMANDS else None
-    parser = argparse.ArgumentParser(prog="looptorsion", description=__doc__)
+    parser = argparse.ArgumentParser(prog="looptorsion", description=DESCRIPTION)
     metavar = "{" + ",".join(COMMANDS) + "}" if only else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     relation_flags = (_params_flags, _degree_flags, _algebra_flags)

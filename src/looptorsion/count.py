@@ -151,7 +151,7 @@ def graded_shapes(rels: RelationSet, max_degree: int) -> tuple[int, list[tuple[i
         return rels.num_gens, relation_shapes(rels), False
     if rels != relation_set_AX(rels.params, rels.convention):
         raise HypothesisError("the AX relation set differs from the generated one")
-    inner = relation_set_E(rels.params, max(max_degree, 2), rels.convention)
+    inner = relation_set_E(rels.params, max_degree, rels.convention)
     return inner.num_gens, relation_shapes(inner), True
 
 

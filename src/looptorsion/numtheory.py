@@ -74,13 +74,13 @@ THEOREM1_PARAMS = Params(a=0, b=4, c=-3, d=1, a2=11, b2=5)
 
 
 def coeff_sequence(params: Params, max_m: int) -> list[tuple[int, int, int]]:
-    """Rows (m, a_m, b_m) for m = 2..max_m, evaluated exactly.
+    """Rows (m, a_m, b_m) for 2 <= m <= max_m, evaluated exactly; none when max_m < 2.
 
-    Seeded by (a2, b2); for m >= 3,
+    The sequence starts at m = 2, seeded by (a2, b2); for m >= 3,
     a_m = a + b*a_{m-1} + c*b_{m-1} and b_m = d*a_{m-1}.
     """
     if max_m < 2:
-        raise ValueError("max_m must be at least 2")
+        return []
     am, bm = params.a2, params.b2
     rows = [(2, am, bm)]
     for m in range(3, max_m + 1):

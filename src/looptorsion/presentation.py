@@ -93,13 +93,12 @@ class RelationSet(namedtuple("RelationSet", "num_gens params convention relation
 def relation_set_E(params: Params, maxdeg: int, convention: str = DEFAULT_CONVENTION) -> RelationSet:
     """The family S presenting the inner algebra, truncated at maxdeg.
 
-    Contains tau_m for 2 <= m <= maxdeg and a_m * rho(4, m+1) for
-    3 <= m+1 <= maxdeg.  When a_m = 0 the rho relation is the zero
-    element; it is omitted and a warning recorded, since the torsion
-    prediction for that index no longer applies.
+    Holds every relation of degree <= maxdeg: tau_m for 2 <= m <= maxdeg
+    and a_m * rho(4, m+1) for 3 <= m+1 <= maxdeg.  The family starts in
+    degree 2, so any maxdeg < 2 gives no relation.  When a_m = 0 the rho
+    relation is the zero element; it is omitted and a warning recorded,
+    since the torsion prediction for that index no longer applies.
     """
-    if maxdeg < 2:
-        raise ValueError("maxdeg must be at least 2")
     seq = {m: (am, bm) for m, am, bm in coeff_sequence(params, maxdeg)}
     rels = []
     warnings = []

@@ -10,8 +10,9 @@ Torsion reports and the `hilbert` dimensions (`counted_pieces`,
 `counted_dimensions`) come from the closed-form count in `count`, which
 builds no matrix.  The matrices, Smith forms and modular ranks serve
 `graded_piece`, `dimension` and `element_order`, the independent oracle
-of that count; they are memoized per relation set and degree, since the
-verification suites revisit them repeatedly.
+of that count.  The matrices and Smith forms are memoized per relation
+set and degree, since the verification suites and the twisted-tensor
+check revisit them for every field; a modular rank is not kept.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ def graded_piece(rels: RelationSet, n: int) -> GradedPiece:
     return GradedPiece(n, rels.num_gens**n - rank, tuple(d for d in invs if d > 1))
 
 
-@cache
 def dimension(rels: RelationSet, n: int, field) -> int:
     """Dimension of the degree-n piece over Q (field "Q") or over F_p.
 
@@ -186,8 +186,7 @@ def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
     pieces, computed, factored = _counted(rels, max_degree)
     predicted: set[int] = set()
     warnings = list(rels.warnings)
-    # m = 2..max_degree - 1; the slice leaves no row when max_degree is 2
-    for m, am, _ in coeff_sequence(rels.params, max(max_degree - 1, 2))[: max_degree - 2]:
+    for m, am, _ in coeff_sequence(rels.params, max_degree - 1):
         if am == 0:
             warnings.append(f"a_{m} = 0 in range: torsion prediction for degree {m + 1} is void")
             continue

@@ -19,7 +19,6 @@ from conftest import ACCEPTANCE_RESULTS
 from looptorsion import numtheory as nt
 from looptorsion import snf
 from looptorsion.action import (
-    DerivationSpec,
     check_preserves_ideal,
     select_convention,
     semi_tensor_dimension_check,
@@ -29,6 +28,7 @@ from looptorsion.presentation import (
     Params,
     THEOREM1_PARAMS,
     coeff_sequence,
+    derivation_images,
     relation_set_AX,
     relation_set_E,
     rho,
@@ -130,13 +130,13 @@ def test_criterion_06_action_preservation(validated_convention):
     ok = True
     for params in (THEOREM1_PARAMS, t2):
         rels = relation_set_E(params, 4, conv)
-        ok = ok and check_preserves_ideal(DerivationSpec(params, conv), rels, 4)["ok"]
+        ok = ok and check_preserves_ideal(derivation_images(params, conv), rels, 4)["ok"]
     # the stated mutation drops the a[u2,v] term from x1*u1; that term is
     # zero for the reference family (a = 0), so the meaningful corruption
     # target is the product family, plus a zeroed image for the reference
-    bad2 = DerivationSpec(t2, conv).replaced(X1, U1, bracket(Element.gen(U1), Element.gen(V), conv))
+    bad2 = {**derivation_images(t2, conv), (X1, U1): bracket(Element.gen(U1), Element.gen(V), conv)}
     ok = ok and not check_preserves_ideal(bad2, relation_set_E(t2, 4, conv), 4)["ok"]
-    bad1 = DerivationSpec(THEOREM1_PARAMS, conv).replaced(X1, U1, Element.zero())
+    bad1 = {**derivation_images(THEOREM1_PARAMS, conv), (X1, U1): Element.zero()}
     ok = ok and not check_preserves_ideal(bad1, relation_set_E(THEOREM1_PARAMS, 4, conv), 4)["ok"]
     _record("criterion 6 (ideal preservation + mutation probes)", ok, f"{time.perf_counter() - t0:.2f}s")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -420,6 +421,19 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys):
             top_level_errors.add(name)
     # without a required positional, the unknown flag is reported by the top-level parser and its usage line
     assert top_level_errors == {"torsion-primes", "hilbert", "order", "export-relations", "verify"}
+
+
+def test_top_level_help_describes_the_tool_and_names_no_module(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    help_text = capsys.readouterr().out
+    # the description is the paragraph after the usage lines, before the command list
+    description = help_text.split("\n\n")[1]
+    assert "Exit codes: 0 on success" in description and "stderr" in description
+    modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+    assert modules >= {"numtheory", "presentation", "quotient", "snf"}
+    assert not modules & set(re.findall(r"\w+", description)) and "`" not in description
 
 
 def test_export_relations_ax(capsys):

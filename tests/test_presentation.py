@@ -49,9 +49,10 @@ def test_coeff_sequence_zero_params():
     assert coeff_sequence(ZERO_PARAMS, 3)[-1] == (3, 0, 0)
 
 
-def test_coeff_sequence_needs_m_at_least_2():
-    with pytest.raises(ValueError):
-        coeff_sequence(THEOREM1_PARAMS, 1)
+def test_coeff_sequence_is_empty_below_m_2():
+    for max_m in (-1, 0, 1):
+        assert coeff_sequence(THEOREM1_PARAMS, max_m) == []
+    assert coeff_sequence(THEOREM1_PARAMS, 2) == [(2, 11, 5)]
 
 
 def test_closed_form_reference_family_through_40():
@@ -113,6 +114,14 @@ def test_relation_set_E_contents():
     assert rels.relations[2].element == rho(4, 3, GRADED) * 11
     assert relation_set_E(THEOREM1_PARAMS, 2, GRADED).relations[0].tag == "tau_2"
     assert len(relation_set_E(THEOREM1_PARAMS, 2, GRADED).relations) == 1
+
+
+def test_relation_set_E_below_degree_2_is_empty():
+    # the family starts at tau_2, so a lower truncation, negative included, holds nothing
+    for params in (THEOREM1_PARAMS, Params(0, 0, 0, 0, 0, 5)):
+        for maxdeg in (-1, 0, 1):
+            rels = relation_set_E(params, maxdeg, GRADED)
+            assert rels.relations == () and rels.warnings == ()
 
 
 def test_relation_set_E_zero_coefficient_warning():
@@ -193,6 +202,9 @@ def test_parse_relation_set_rejects_corruption(tmp_path):
     for bad in (zero_line, unknown_convention, degree_one):
         path.write_text(bad, encoding="utf-8")
         assert check_relations_file(str(path))["ok"] is False
+    # export-relations writes no E set below degree 2, so such a file is refused, not rebuilt
+    path.write_text(degree_one, encoding="utf-8")
+    assert check_relations_file(str(path))["error"] == "maxdeg must be at least 2"
     # files that cannot be read as text at all: missing, and not UTF-8
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(text.replace("u1", "\xfc1").encode("latin-1"))

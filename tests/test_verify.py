@@ -29,9 +29,9 @@ def test_convention_selection_fails_when_the_declared_default_fails(monkeypatch)
     assert DEFAULT_CONVENTION == GRADED
     real = action.check_preserves_ideal
 
-    def graded_fails(spec, rels, maxdeg):
-        report = real(spec, rels, maxdeg)
-        return {**report, "ok": report["ok"] and spec.convention != GRADED}
+    def graded_fails(images, rels, maxdeg):
+        report = real(images, rels, maxdeg)
+        return {**report, "ok": report["ok"] and rels.convention != GRADED}
 
     monkeypatch.setattr(action, "check_preserves_ideal", graded_fails)
     # every other check passes as a stub, so only the selection can fail
