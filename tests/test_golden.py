@@ -2,9 +2,9 @@
 
 Each case runs the CLI in process and compares its stdout with the file
 of the same name under tests/golden/; for a refused command, the file
-holds its stderr and the case also pins the exit code.  After an intended change of a
-report, rewrite the files with `PYTHONPATH=src python tests/test_golden.py`
-and review the diff.
+holds its stderr and the case also pins the exit code.  After an
+intended change of a report, rewrite the files with
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
 from __future__ import annotations
