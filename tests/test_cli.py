@@ -423,6 +423,74 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys):
     assert top_level_errors == {"torsion-primes", "hilbert", "order", "export-relations", "verify"}
 
 
+#: Per command: its required positionals, a valid rest of the line with a `--flag=value` and an
+#: abbreviated flag, and a line whose integer argument is not an integer.
+PARSE_TABLE = {
+    "recurrence": (["5"], ["--params=1,2,3,4,5,6", "--js"], ["x"]),
+    "torsion-primes": ([], ["--max-deg", "6", "--algebra=AX", "--conv", "ungraded"], ["--max-degree", "x"]),
+    "classify": (["41"], ["--theorem2=7", "--o", "out.txt"], ["4.5"]),
+    "hilbert": ([], ["--field=13", "--max-deg", "3", "--alg", "AX", "--json"], ["--max-degree=x"]),
+    "order": ([], ["--rho=4,3", "--conv", "ungraded", "--elem", "1*u1"], ["--max-degree", "x"]),
+    "census": (["100"], ["--par", "1,2,3,4,5,6", "--json", "--out=c.txt"], ["1e3"]),
+    "theorem2": (["2,3"], ["--bou", "50", "--out=t.txt"], ["2,3", "--bound", "x"]),
+    "export-relations": ([], ["--max-deg", "4", "--theorem2=5", "--algebra=E"], ["--max-degree", "x"]),
+    "verify": ([], ["--rel", "r.txt", "--json"], ["--max-degree", "x"]),
+}
+
+
+def parse_cases():
+    """Each distinct command line once."""
+    cases = [[], ["-h"], ["--help"], ["nonsense"], ["cens", "100"], ["--bogus"], ["--help", "census"]]
+    for name, (positionals, flags, non_integer) in PARSE_TABLE.items():
+        line = [name, *positionals]
+        cases += (
+            [*line, *flags],  # valid
+            [name, *flags, *positionals],  # valid, positionals last
+            [*line, "--params=-1,2,3,4,5,6"],  # valid where --params is read
+            [name, "-h"],
+            [*line, *flags, "--help"],
+            [name, "--bogus"],
+            [*line, "--bogus"],
+            [*line, "--bogus=1", *flags],
+            [name, *non_integer],
+            [*line, "--algebra", "Z"],
+            [name],  # a missing positional where the command takes one
+            [*line, "extra"],
+            [*line, *flags, "extra", "--bogus"],
+            [*line, "--params", "-1,2,3,4,5,6"],
+            [*line, "--", "extra"],
+        )
+    return [list(argv) for argv in dict.fromkeys(map(tuple, cases))]
+
+
+@pytest.mark.parametrize("argv", parse_cases(), ids=lambda argv: " ".join(argv) or "(empty)")
+def test_main_parses_a_line_as_the_full_parser_does(argv, capsys, monkeypatch):
+    """Same exit code, stdout and stderr as the full parser, and the same namespace for a valid line."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    for name in cli.COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), record)
+
+    def outcome(parse):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    expected = outcome(build_parser().parse_args)
+    got = outcome(main)
+    if isinstance(expected[0], argparse.Namespace):
+        assert got == (0, "", "") and seen == [expected[0]]
+    else:
+        assert got == expected and not seen
+
+
 def test_top_level_help_describes_the_tool_and_names_no_module(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--help"])
