@@ -23,7 +23,7 @@ default, `freealg.DEFAULT_CONVENTION`, to passing it.
 
 from __future__ import annotations
 
-from .freealg import CONVENTIONS, DEFAULT_CONVENTION, GRADED, Element, X1, X2
+from .freealg import CONVENTIONS, DEFAULT_CONVENTION, GRADED, Element, X1, X2, check_convention
 from .presentation import (
     Params,
     RelationSet,
@@ -47,8 +47,7 @@ def act(x: int, f: Element, images: dict, convention: str) -> Element:
     graded:   x*(fg) = (x*f) g + (-1)^{|f|} f (x*g);
     ungraded: x*(fg) = (x*f) g + f (x*g).
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown sign convention {convention!r}")
+    check_convention(convention)
     if x not in (X1, X2):
         raise ValueError("the acting generator must be x1 or x2")
     if not f.is_homogeneous():

@@ -5,6 +5,10 @@ Each command imports only the modules it runs: `census`, `classify`,
 `freealg` load only in the other five commands, the algebra modules
 (`quotient`, `count`, `snf`, `series`) only in `torsion-primes`,
 `hilbert`, `order` and `verify`, and `json` only when JSON is written.
+
+A run builds one parser: a command's line is read by `command_parser`
+alone. The parser of every command, `build_parser`, is built only for
+top-level help, a missing or unknown command, and leftover arguments.
 """
 
 from __future__ import annotations
@@ -277,9 +281,6 @@ def cmd_verify(args) -> int:
     return 0 if report["ok"] else 1
 
 
-COMMANDS = "recurrence torsion-primes classify hilbert order census theorem2 export-relations verify".split()
-
-
 def _params_flags(p) -> None:
     p.add_argument("--params", metavar="a,b,c,d,a2,b2", help="six comma-separated integers")
     p.add_argument("--theorem2", metavar="p1,p2,...", help="excluded primes for the product family")
@@ -311,75 +312,66 @@ def _report_flags(p) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand or, when `only` names one, with that one alone.
+_RELATION_FLAGS = (_params_flags, _degree_flags, _algebra_flags)
 
-    Both print the same usage, help and errors: the one-subcommand build lists every command in its
-    usage line, and the full build keeps argparse's default, so its errors name the argument "command".
-    """
-    only = only if only in COMMANDS else None
-    parser = argparse.ArgumentParser(prog="looptorsion", description=DESCRIPTION)
-    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    relation_flags = (_params_flags, _degree_flags, _algebra_flags)
+#: Each command: what `looptorsion --help` says of it, and the flag groups it reads.
+COMMANDS = {
+    "recurrence": ("print the coefficient table (m, a_m, b_m)", (_params_flags, _report_flags)),
+    "torsion-primes": ("graded pieces, divisors and torsion primes", (*_RELATION_FLAGS, _report_flags)),
+    "classify": ("torsion verdict for one prime", (_params_flags, _report_flags)),
+    "hilbert": ("dimension series and loop-space Poincare series", (*_RELATION_FLAGS, _report_flags)),
+    "order": ("order of an element in a graded quotient", (_params_flags, _algebra_flags, _report_flags)),
+    "census": ("per-residue-class torsion census of primes", (_params_flags, _report_flags)),
+    "theorem2": ("classify primes for a product-family instance", (_report_flags,)),
+    "export-relations": ("write a relation set in the text format", (*_RELATION_FLAGS, _out_flags)),
+    "verify": ("run the consolidated consistency suite", (_report_flags,)),
+}
 
-    def add(name, help, *flag_groups):
-        p = sub.add_parser(name, help=help)
-        for add_flags in flag_groups:
-            add_flags(p)
-        return p
 
-    if only in (None, "recurrence"):
-        p = add("recurrence", "print the coefficient table (m, a_m, b_m)", _params_flags, _report_flags)
+def _add_command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Give `p` the flags and positionals of command `name`, and its `cmd_*` function as `func`."""
+    for add_flags in COMMANDS[name][1]:
+        add_flags(p)
+    if name == "recurrence":
         p.add_argument("M", type=int, help="largest index m")
-        p.set_defaults(func=cmd_recurrence)
-
-    if only in (None, "torsion-primes"):
-        p = add("torsion-primes", "graded pieces, divisors and torsion primes", *relation_flags, _report_flags)
-        p.set_defaults(func=cmd_torsion_primes)
-
-    if only in (None, "classify"):
-        p = add("classify", "torsion verdict for one prime", _params_flags, _report_flags)
+    elif name == "classify":
         p.add_argument("p", type=int, help="the prime to classify")
-        p.set_defaults(func=cmd_classify)
-
-    if only in (None, "hilbert"):
-        p = add("hilbert", "dimension series and loop-space Poincare series", *relation_flags, _report_flags)
+    elif name == "hilbert":
         p.add_argument("--field", default="Q", help="coefficient field: a prime or Q (default Q)")
-        p.set_defaults(func=cmd_hilbert)
-
-    if only in (None, "order"):
-        p = add("order", "order of an element in a graded quotient", _params_flags, _algebra_flags, _report_flags)
+    elif name == "order":
         p.add_argument("--rho", metavar="I,M", help="use the element rho(I,M)")
         p.add_argument("--element", metavar="TEXT", help="element in text format")
-        p.set_defaults(func=cmd_order)
-
-    if only in (None, "census"):
-        p = add("census", "per-residue-class torsion census of primes", _params_flags, _report_flags)
+    elif name == "census":
         p.add_argument("bound", type=int, help="classify all primes below this bound")
-        p.set_defaults(func=cmd_census)
-
-    if only in (None, "theorem2"):
-        p = add("theorem2", "classify primes for a product-family instance", _report_flags)
+    elif name == "theorem2":
         p.add_argument("primes", help="comma-separated excluded primes")
         p.add_argument("--bound", type=int, default=200, help="classify primes below this bound")
-        p.set_defaults(func=cmd_theorem2)
-
-    if only in (None, "export-relations"):
-        p = add("export-relations", "write a relation set in the text format", *relation_flags, _out_flags)
-        p.set_defaults(func=cmd_export_relations)
-
-    if only in (None, "verify"):
-        p = add("verify", "run the consolidated consistency suite", _report_flags)
+    elif name == "verify":
         p.add_argument("--relations", metavar="PATH", help="also validate an exported relation file")
-        p.set_defaults(func=cmd_verify)
+    # `command` is what the full parser's subcommand action stores, so both give the same namespace
+    p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")], command=name)
+    return p
 
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built as `build_parser` builds it: the same usage, help and errors."""
+    return _add_command(name, argparse.ArgumentParser(prog=f"looptorsion {name}"))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every command, for top-level help and for errors no one command's parser reports."""
+    parser = argparse.ArgumentParser(prog="looptorsion", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, _) in COMMANDS.items():
+        _add_command(name, sub.add_parser(name, help=help))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args, rest = command_parser(argv[0]).parse_known_args(argv[1:]) if argv and argv[0] in COMMANDS else (None, None)
+    if args is None or rest:  # no command, or arguments it leaves over: the full parser reports them
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -29,6 +29,12 @@ DEFAULT_CONVENTION = GRADED
 Word = tuple
 
 
+def check_convention(convention: str) -> None:
+    """Refuse a sign convention outside CONVENTIONS."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown sign convention {convention!r}")
+
+
 def gen_index(name: str) -> int:
     """Index of a generator name in the fixed order."""
     try:
@@ -157,8 +163,7 @@ def bracket(f: Element, g: Element, convention: str = DEFAULT_CONVENTION) -> Ele
     graded:   fg - (-1)^{|f||g|} gf, so fg + gf when both degrees are odd;
     ungraded: fg - gf.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown sign convention {convention!r}")
+    check_convention(convention)
     if f.is_zero() or g.is_zero():
         return Element.zero()
     df = f.degree()

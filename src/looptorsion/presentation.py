@@ -33,6 +33,7 @@ from .freealg import (
     X1,
     X2,
     bracket,
+    check_convention,
     format_element,
     parse_element,
     GENERATOR_NAMES,
@@ -98,7 +99,9 @@ def relation_set_E(params: Params, maxdeg: int, convention: str = DEFAULT_CONVEN
     degree 2, so any maxdeg < 2 gives no relation.  When a_m = 0 the rho
     relation is the zero element; it is omitted and a warning recorded,
     since the torsion prediction for that index no longer applies.
+    An unknown convention is refused at every maxdeg.
     """
+    check_convention(convention)
     seq = {m: (am, bm) for m, am, bm in coeff_sequence(params, maxdeg)}
     rels = []
     warnings = []

@@ -284,7 +284,7 @@ def check_relations_file(path: str) -> dict:
         parsed = parse_relation_set(text)
         if parsed.num_gens == E_NUM_GENS:
             if parsed.max_degree() < 2:  # export-relations writes no E set below degree 2
-                raise ValueError("maxdeg must be at least 2")
+                raise ValueError("an E relation file needs a relation of degree 2 or more")
             built = relation_set_E(parsed.params, parsed.max_degree(), parsed.convention)
         else:
             built = relation_set_AX(parsed.params, parsed.convention)

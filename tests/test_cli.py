@@ -404,9 +404,7 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys):
     assert "{" + ",".join(subparsers.choices) + "}" in usage
     top_level_errors = set()
     for name, sub in subparsers.choices.items():
-        single = build_parser(name)
-        (alone,) = next(a for a in single._actions if isinstance(a, argparse._SubParsersAction)).choices.values()
-        assert single.format_usage() == usage
+        alone = cli.command_parser(name)
         assert alone.format_usage() == sub.format_usage()
         assert alone.format_help() == sub.format_help()
         with pytest.raises(SystemExit) as err:
@@ -489,6 +487,15 @@ def test_main_parses_a_line_as_the_full_parser_does(argv, capsys, monkeypatch):
         assert got == (0, "", "") and seen == [expected[0]]
     else:
         assert got == expected and not seen
+
+
+def test_a_valid_command_line_builds_only_its_command_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["census", "100"]) == 0
+    assert capsys.readouterr().out.startswith("class   count  torsion")
 
 
 def test_top_level_help_describes_the_tool_and_names_no_module(capsys):

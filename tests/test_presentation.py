@@ -124,6 +124,12 @@ def test_relation_set_E_below_degree_2_is_empty():
             assert rels.relations == () and rels.warnings == ()
 
 
+@pytest.mark.parametrize("maxdeg", [-1, 0, 1, 2])
+def test_relation_set_E_refuses_an_unknown_convention_at_any_truncation(maxdeg):
+    with pytest.raises(ValueError, match="^unknown sign convention 'odd'$"):
+        relation_set_E(THEOREM1_PARAMS, maxdeg, "odd")
+
+
 def test_relation_set_E_zero_coefficient_warning():
     rels = relation_set_E(Params(0, 0, 0, 0, 0, 5), 3, GRADED)
     assert len(rels.warnings) == 1
@@ -204,7 +210,7 @@ def test_parse_relation_set_rejects_corruption(tmp_path):
         assert check_relations_file(str(path))["ok"] is False
     # export-relations writes no E set below degree 2, so such a file is refused, not rebuilt
     path.write_text(degree_one, encoding="utf-8")
-    assert check_relations_file(str(path))["error"] == "maxdeg must be at least 2"
+    assert check_relations_file(str(path))["error"] == "an E relation file needs a relation of degree 2 or more"
     # files that cannot be read as text at all: missing, and not UTF-8
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(text.replace("u1", "\xfc1").encode("latin-1"))
