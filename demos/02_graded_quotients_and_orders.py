@@ -7,14 +7,9 @@ and the rho family realizes exactly the predicted orders.  The torsion
 report counts the same pieces in closed form, without a matrix.
 """
 
+from looptorsion.count import counted_pieces
 from looptorsion.presentation import THEOREM1_PARAMS, relation_set_E, rho, tau
-from looptorsion.quotient import (
-    counted_pieces,
-    element_order,
-    graded_piece,
-    ideal_spanning_matrix,
-    torsion_primes_up_to,
-)
+from looptorsion.quotient import element_order, graded_piece, ideal_spanning_matrix, torsion_primes_up_to
 
 rels = relation_set_E(THEOREM1_PARAMS, 5)
 

@@ -9,8 +9,9 @@ F_p.  The transform P(t)^-1 = (1+t) A(t)^-1 - t + 8t^2 - 13t^3
 turns the full algebra's series into loop-space Betti numbers.
 """
 
+from looptorsion.count import counted_dimensions
 from looptorsion.presentation import THEOREM1_PARAMS, relation_set_AX, relation_set_E
-from looptorsion.quotient import counted_dimensions, dimension, graded_piece
+from looptorsion.quotient import dimension, graded_piece
 from looptorsion.series import format_series, invert_series, roos_poincare
 
 rels_e = relation_set_E(THEOREM1_PARAMS, 5)

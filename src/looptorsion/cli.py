@@ -2,9 +2,14 @@
 
 Each command imports only the modules it runs: `census`, `classify`,
 `theorem2` and `recurrence` load `numtheory` alone; `presentation` and
-`freealg` load only in the other five commands, the algebra modules
-(`quotient`, `count`, `snf`, `series`) only in `torsion-primes`,
-`hilbert`, `order` and `verify`, and `json` only when JSON is written.
+`freealg` load only in the other five commands; `hilbert` loads the
+closed-form count (`count`, `series`) without the matrix oracle
+(`quotient`, `snf`), which loads only in `torsion-primes`, `order` and
+`verify`; and `json` loads only when JSON is written.
+
+`main` lifts Python's limit on the digits of an int read or written as
+text while it runs, so a bound or an a_m of any length is read and
+printed in full.
 
 A run builds one parser: a command's line is read by `command_parser`
 alone. The parser of every command, `build_parser`, is built only for
@@ -148,7 +153,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    from .quotient import counted_dimensions
+    from .count import counted_dimensions
     from .series import G2, R4, format_series, roos_poincare, series_json
 
     params = _params_from(args)
@@ -368,7 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     args, rest = command_parser(argv[0]).parse_known_args(argv[1:]) if argv and argv[0] in COMMANDS else (None, None)
     if args is None or rest:  # no command, or arguments it leaves over: the full parser reports them
         args = build_parser().parse_args(argv)
@@ -388,7 +401,3 @@ def main(argv=None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -42,26 +42,42 @@ Over F_p the quotient is the integer quotient tensored with F_p, because
 tensoring is right exact (the universal-coefficient step).  Z/g (x) F_p
 is F_p when p divides g and 0 otherwise, so the dimension in degree n is
 the free rank plus the number of cyclic summands whose order p divides,
-the count for p^1; `quotient.counted_dimensions` reads it off, and the
-rank of the degree matrix mod p (`quotient.dimension`) is its oracle.
+the count for p^1; `counted_dimensions` reads it off, and the rank of
+the degree matrix mod p (`quotient.dimension`) is its oracle.
 
-The count reads relation degrees, leading words and contents only, and
-shares no code with `snf`; `quotient.graded_piece`, the Smith normal
-form of the degree matrix, is its oracle.  A relation set that breaks a
-hypothesis raises HypothesisError; there is no fallback.
+`counted_pieces` and `counted_torsion` give the graded pieces, which the
+`torsion-primes` report lists, and `counted_dimensions` the series the
+`hilbert` command prints.  The count reads relation degrees, leading
+words and contents only, and imports neither `snf` nor `quotient`;
+`quotient.graded_piece`, the Smith normal form of the degree matrix, is
+its oracle.  A relation set that breaks a hypothesis raises
+HypothesisError; there is no fallback.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate, chain
 from math import gcd, prod
 
+from . import numtheory
 from .presentation import AX_NUM_GENS, RelationSet, relation_set_AX, relation_set_E
 from .series import invert_series
 
 
+#: The most invariant factors `counted_torsion` expands: E11 lists 14,299,117
+#: of them in about 1.1 GB, E12 would list 92,034,197.
+MAX_LISTED_FACTORS = 2 * 10**7
+
+
 class HypothesisError(RuntimeError):
     """The relation set is outside what the closed-form count covers."""
+
+
+class GradedPiece(namedtuple("GradedPiece", "degree free_rank divisors")):
+    """One degree of the quotient as an abelian group; divisors: the invariant factors > 1, each dividing the next."""
+
+    __slots__ = ()
 
 
 def relation_shapes(rels: RelationSet) -> list[tuple[int, int]]:
@@ -141,7 +157,7 @@ def invariant_factors(counts: dict[tuple[int, int], int]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def graded_shapes(rels: RelationSet, max_degree: int) -> tuple[int, list[tuple[int, int]], bool]:
+def _graded_shapes(rels: RelationSet, max_degree: int) -> tuple[int, list[tuple[int, int]], bool]:
     """(generators, relation shapes, is AX) for the count of the quotient in degrees 0..max_degree.
 
     An AX set must be the generated one; its shapes are those of the E
@@ -155,8 +171,8 @@ def graded_shapes(rels: RelationSet, max_degree: int) -> tuple[int, list[tuple[i
     return inner.num_gens, relation_shapes(inner), True
 
 
-def graded_counts(graded, max_degree: int, prime_powers) -> tuple[list[int], dict]:
-    """`piece_counts` of the quotient whose `graded_shapes` is `graded`."""
+def _graded_counts(graded, max_degree: int, prime_powers) -> tuple[list[int], dict]:
+    """`piece_counts` of the quotient whose `_graded_shapes` is `graded`."""
     num_gens, shapes, ax = graded
     free, counts = piece_counts(num_gens, shapes, max_degree, prime_powers)
     if ax:  # AX_n = E_n + 2 AX_(n-1): the factor 1 / (1 - 2t)
@@ -166,3 +182,65 @@ def graded_counts(graded, max_degree: int, prime_powers) -> tuple[list[int], dic
 
 def _over_one_minus_2t(series: list[int]) -> list[int]:
     return list(accumulate(series, lambda acc, x: 2 * acc + x))
+
+
+def counted_torsion(
+    rels: RelationSet, max_degree: int
+) -> tuple[list[GradedPiece], set[int], dict[int, dict[int, int]]]:
+    """`counted_pieces`, the primes that divide an invariant factor of some degree, and the factored contents.
+
+    The count runs for every prime power p^e that divides a relation
+    content, each e from 1 up to the exponent of p, as
+    `invariant_factors` needs.  p divides an invariant factor in degree
+    n exactly when its p^1 count is nonzero there, and a nonzero p^e
+    count implies a nonzero p^1 count, so the primes are read off the
+    series, not factored.  The third item maps each relation content to
+    its factorization.
+
+    In each degree the largest count is the number of invariant
+    factors, so the size of the listing is summed before any factor is
+    expanded; above `MAX_LISTED_FACTORS` it raises MemoryError.
+    """
+    graded = _graded_shapes(rels, max_degree)
+    factored = {c: numtheory.factorize(c) for c in {c for d, c in graded[1] if d <= max_degree}}
+    prime_powers = {(p, e) for f in factored.values() for p, k in f.items() for e in range(1, k + 1)}
+    free, counts = _graded_counts(graded, max_degree, prime_powers)
+    listed = sum(max((series[n] for series in counts.values()), default=0) for n in range(max_degree + 1))
+    if listed > MAX_LISTED_FACTORS:
+        raise MemoryError(
+            f"degrees 0..{max_degree} hold {listed} invariant factors; a listing holds at most {MAX_LISTED_FACTORS}"
+        )
+    pieces = [
+        GradedPiece(n, free[n], invariant_factors({key: series[n] for key, series in counts.items()}))
+        for n in range(max_degree + 1)
+    ]
+    return pieces, {p for (p, _), series in counts.items() if any(series)}, factored
+
+
+def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
+    """Degrees 0..max_degree from the closed-form count, with no matrix.
+
+    Raises HypothesisError for a relation set the count does not cover,
+    and MemoryError like `counted_torsion`; `quotient.graded_piece` is
+    the oracle it must agree with.
+    """
+    return counted_torsion(rels, max_degree)[0]
+
+
+def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
+    """Dimensions over Q ("Q") or F_p in degrees 0..max_degree, from the count.
+
+    Tensoring is right exact, so over F_p the quotient is the integer
+    quotient tensored with F_p, and Z/g tensored with F_p is F_p when p
+    divides g and 0 otherwise: the free rank plus the count for p^1.
+    Factors nothing and expands no factor, so no listing limit applies.
+    Raises HypothesisError like `counted_pieces`; `quotient.dimension`
+    is the oracle it must agree with.
+    """
+    if max_degree < 0:
+        raise ValueError("truncation must be nonnegative")
+    p = None if field == "Q" else int(field)
+    if p is not None and not numtheory.is_prime(p):
+        raise ValueError(f"field characteristic {p} is not prime")
+    free, counts = _graded_counts(_graded_shapes(rels, max_degree), max_degree, [(p, 1)] if p else [])
+    return [f + c for f, c in zip(free, counts[p, 1])] if p else free

@@ -94,6 +94,10 @@ def coeff_sequence(params: Params, max_m: int) -> list[tuple[int, int, int]]:
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+#: The largest prime order of a subgroup in which `classify_prime_theorem1`
+#: takes a discrete log: baby-step giant-step keeps at most 2^20 baby steps.
+MAX_DISCRETE_LOG_PRIME = 2**40
+
 #: The residue-rule expectations claimed for the reference family,
 #: keyed by p mod 24.  Only the "non-torsion" half is a sound decision
 #: rule; the "torsion" half is an expectation under empirical test.
@@ -411,6 +415,9 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
     with the least witness taken from the discrete log of -2 to base 3;
     2 and 3 by the walk, `classify_prime_general(THEOREM1_PARAMS, p)`.
     The claimed positive rule for classes 5, 7, 17, 19 never decides.
+    A torsion prime whose ord_p(3) has a prime factor above
+    `MAX_DISCRETE_LOG_PRIME` raises MemoryError before the discrete log
+    allocates its baby steps.
     """
     _require_prime(p)
     if p in (2, 3):
@@ -422,6 +429,11 @@ def classify_prime_theorem1(p: int) -> PrimeClassification:
     if not torsion:
         # (-2)^ord_p(3) != 1 says what an exhausted cycle of powers of 3 says
         return PrimeClassification(p, "non-torsion", "exhausted-cycle", None)
+    largest = max(q for q in group if order % q == 0)
+    if largest > MAX_DISCRETE_LOG_PRIME:
+        raise MemoryError(
+            f"the witness needs a discrete log in a subgroup of prime order {largest}, above {MAX_DISCRETE_LOG_PRIME}"
+        )
     m = _discrete_log(3, p - 2, p, order, group)
     if m < 2:
         m += order

@@ -5,7 +5,7 @@ dimension series the package forms is integral with constant term 1, so
 its inverse and the transform P(t)^-1 = (1+t)*A(t)^-1 - t + G2*t^2 -
 R4*t^3 stay integral; no floating point enters anywhere in the package.
 The `hilbert` command builds A(t) from the closed-form count
-(`quotient.counted_dimensions`); `quotient.dimension` computes one
+(`count.counted_dimensions`); `quotient.dimension` computes one
 degree from the rank of the degree matrix and is that count's oracle.
 """
 

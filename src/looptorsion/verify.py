@@ -21,6 +21,7 @@ import sys
 
 from . import count, numtheory, snf
 from .action import check_preserves_ideal, select_convention
+from .count import counted_dimensions, counted_pieces
 from .freealg import CONVENTIONS, Element, GRADED, U1, U2, U3, V, W, X1, bracket, word_rank
 from .presentation import (
     AX_DEFAULT_DEGREE,
@@ -37,15 +38,7 @@ from .presentation import (
     rho,
     tau,
 )
-from .quotient import (
-    counted_dimensions,
-    counted_pieces,
-    dimension,
-    element_order,
-    graded_piece,
-    ideal_spanning_matrix,
-    torsion_primes_up_to,
-)
+from .quotient import dimension, element_order, graded_piece, ideal_spanning_matrix, torsion_primes_up_to
 from .series import invert_series, roos_poincare
 
 

@@ -224,6 +224,69 @@ def test_out_of_memory_is_a_refusal_not_a_traceback(capsys, monkeypatch):
     assert captured.err == "error: the computation exceeded an internal limit (MemoryError)\n"
 
 
+def every_digit(n: int) -> str:
+    """str(n) with no limit on the number of digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_recurrence_prints_every_digit_of_an_a_m_past_the_interpreter_limit(capsys):
+    # a_9100 = 2 + 3^9100 has 4342 digits, more than the 4300 Python converts by default
+    limit = sys.get_int_max_str_digits()
+    expected = every_digit(2 + 3**9100)
+    code, out = run_cli(capsys, "recurrence", "9100")
+    assert code == 0
+    assert out.splitlines()[-1].split()[:2] == ["9100", expected]
+    code, out = run_cli(capsys, "recurrence", "9100", "--json")
+    assert code == 0
+    assert re.search(r'"m": 9100,\s*"a_m": (\d+),', out).group(1) == expected
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_bound_of_4400_digits_is_read_and_refused_as_an_internal_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["census", "1" + "0" * 4399]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the computation exceeded an internal limit (OverflowError: ")
+    assert captured.err.count("\n") == 1
+    assert sys.get_int_max_str_digits() == limit
+
+
+def run_limited(argv, address_space=2**30, timeout=20):
+    """`main(argv)` in a child whose address space is capped at `address_space` bytes."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space}))\n"
+        "from looptorsion.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        # a safe prime: ord_p(3) is the prime (p - 1) / 2, about 10^20, so the discrete log needs 10^10 baby steps
+        (["classify", "200000000000000021579"], "subgroup of prime order 100000000000000010789, above 1099511627776"),
+        # the counts give 1.32e22 invariant factors in milliseconds, before any is listed
+        (["torsion-primes", "--max-degree", "30"], "degrees 0..30 hold 13221592880837349212942 invariant factors"),
+    ],
+    ids=["classify", "torsion-primes"],
+)
+def test_a_computation_past_a_stated_limit_is_refused_before_it_allocates(argv, reason):
+    proc = run_limited(argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the computation exceeded an internal limit (MemoryError: ")
+    assert reason in proc.stderr and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv", [["census", "99999999999999999999"], ["theorem2", "7", "--bound", "99999999999999999999"]]
 )
@@ -581,7 +644,11 @@ def test_a_command_loads_the_algebra_modules_only_if_it_runs_them(argv, runs_alg
     proc, imported = run_module(*argv)
     assert proc.returncode == 0 and proc.stdout
     assert "looptorsion.numtheory" in imported
-    assert imported & ALGEBRA_MODULES == (ALGEBRA_MODULES if runs_algebra else set())
+    if argv[0] == "hilbert":
+        # the closed-form count, without the matrix oracle it is checked against
+        assert imported & {*ALGEBRA_MODULES, "looptorsion.series"} == {"looptorsion.count", "looptorsion.series"}
+    else:
+        assert imported & ALGEBRA_MODULES == (ALGEBRA_MODULES if runs_algebra else set())
     if argv[0] in ("census", "classify", "theorem2", "recurrence"):
         # the arithmetic commands need neither the relation families nor the free algebra
         assert {m for m in imported if m.startswith("looptorsion")} == {"looptorsion", "looptorsion.cli", "looptorsion.numtheory"}

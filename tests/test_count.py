@@ -23,7 +23,8 @@ from looptorsion.presentation import (
     relation_set_AX,
     relation_set_E,
 )
-from looptorsion.quotient import counted_dimensions, counted_pieces, dimension, graded_piece, torsion_primes_up_to
+from looptorsion.count import counted_dimensions, counted_pieces
+from looptorsion.quotient import dimension, graded_piece, torsion_primes_up_to
 
 FAMILIES = [
     THEOREM1_PARAMS,
@@ -278,7 +279,31 @@ def test_cli_reports_a_refused_set_as_an_error_with_exit_1(bad, monkeypatch, cap
 
 
 def test_count_shares_no_code_with_the_smith_form():
+    # every import form: `import a.b`, `from .b import x`, `from . import b`, `from a.b import x`
     tree = ast.parse(Path(count.__file__).read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    imported |= {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "").rsplit(".", 1)[-1], *(alias.name for alias in node.names)}
+    assert {"numtheory", "presentation", "series"} <= imported
     assert not {"snf", "quotient"} & imported
+
+
+def test_the_listing_size_is_counted_before_any_factor_is_expanded(monkeypatch):
+    listed = []
+
+    def tally(counts):
+        listed.append(max(counts.values(), default=0))
+        return ()
+
+    monkeypatch.setattr(count, "invariant_factors", tally)
+    count.counted_torsion(relation_set_E(THEOREM1_PARAMS, 11, GRADED), 11)
+    assert sum(listed) == 14_299_117 <= count.MAX_LISTED_FACTORS
+    listed.clear()
+    with pytest.raises(MemoryError, match="degrees 0..12 hold 92034197 invariant factors"):
+        count.counted_torsion(relation_set_E(THEOREM1_PARAMS, 12, GRADED), 12)
+    assert listed == [] and 92_034_197 > count.MAX_LISTED_FACTORS
+    # the dimensions expand nothing, so they take the same truncation
+    assert len(counted_dimensions(relation_set_E(THEOREM1_PARAMS, 12, GRADED), 11, 12)) == 13

@@ -99,6 +99,11 @@ PAIRS = {
 }
 
 
+def test_count_roots_hold_what_production_calls():
+    # `torsion-primes` reads `counted_torsion`, `hilbert` reads `counted_dimensions`
+    assert {"counted_torsion", "counted_pieces", "counted_dimensions"} <= set(COUNT)
+
+
 @pytest.fixture(scope="module")
 def graph():
     return call_graph(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
