@@ -5,7 +5,10 @@ Each command imports only the modules it runs: `census`, `classify`,
 `freealg` load only in the other five commands; `hilbert` loads the
 closed-form count (`count`, `series`) without the matrix oracle
 (`quotient`, `snf`), which loads only in `torsion-primes`, `order` and
-`verify`; and `json` loads only when JSON is written.
+`verify`; and `json` loads only when JSON is written.  `torsion-primes`
+and `hilbert` name their relation family by its parameters
+(`presentation.generated_family`) and build no relation element;
+`export-relations`, `order` and `verify` build relation sets.
 
 `main` lifts Python's limit on the digits of an int read or written as
 text while it runs, so a bound or an a_m of any length is read and
@@ -64,14 +67,20 @@ def _params_from(args) -> numtheory.Params:
     return numtheory.THEOREM1_PARAMS
 
 
-def _relations(args, params: numtheory.Params):
-    from .presentation import AX_DEFAULT_DEGREE, E_DEFAULT_DEGREE, relation_set_AX, relation_set_E
+def _max_degree(args) -> int:
+    from .presentation import AX_DEFAULT_DEGREE, E_DEFAULT_DEGREE
 
-    if args.algebra == "AX":
-        maxdeg = AX_DEFAULT_DEGREE if args.max_degree is None else args.max_degree
-        return relation_set_AX(params, args.convention), maxdeg
-    maxdeg = E_DEFAULT_DEGREE if args.max_degree is None else args.max_degree
-    return relation_set_E(params, maxdeg, args.convention), maxdeg
+    if args.max_degree is not None:
+        return args.max_degree
+    return AX_DEFAULT_DEGREE if args.algebra == "AX" else E_DEFAULT_DEGREE
+
+
+def _family(args, params: numtheory.Params):
+    """The generated family the flags name, and its truncation; no relation element is built."""
+    from .presentation import generated_family
+
+    maxdeg = _max_degree(args)
+    return generated_family(args.algebra, params, maxdeg, args.convention), maxdeg
 
 
 def _emit(args, text: str) -> None:
@@ -106,12 +115,12 @@ def cmd_torsion_primes(args) -> int:
     from .quotient import torsion_primes_up_to
 
     params = _params_from(args)
-    rels, maxdeg = _relations(args, params)
-    report = torsion_primes_up_to(rels, maxdeg)
+    family, maxdeg = _family(args, params)
+    report = torsion_primes_up_to(family, maxdeg)
     if args.json:
         _emit_json(args, report.to_json())
         return 0
-    lines = [f"# algebra {args.algebra}, {params}, convention {rels.convention}, degrees <= {maxdeg}"]
+    lines = [f"# algebra {args.algebra}, {params}, convention {family.convention}, degrees <= {maxdeg}"]
     for piece in report.degrees:
         div = ",".join(map(str, piece.divisors)) or "-"
         lines.append(f"degree {piece.degree}: free rank {piece.free_rank}, divisors {div}")
@@ -157,12 +166,12 @@ def cmd_hilbert(args) -> int:
     from .series import G2, R4, format_series, roos_poincare, series_json
 
     params = _params_from(args)
-    rels, maxdeg = _relations(args, params)
+    family, maxdeg = _family(args, params)
     try:
         field = args.field if args.field == "Q" else int(args.field)
     except ValueError:
         raise ValueError("--field must be Q or a prime") from None
-    a_series = counted_dimensions(rels, field, maxdeg)
+    a_series = counted_dimensions(family, field, maxdeg)
     payload = {"algebra": args.algebra, "field": str(field), "A": series_json(a_series)}
     lines = [f"A(t) [{args.algebra}, field {field}] = {format_series(a_series)}"]
     if args.algebra == "AX":
@@ -250,14 +259,17 @@ def cmd_theorem2(args) -> int:
 
 
 def cmd_export_relations(args) -> int:
-    from .presentation import format_relation_set
+    from .presentation import format_relation_set, relation_set_AX, relation_set_E
 
     params = _params_from(args)
     if args.algebra == "AX" and args.max_degree is not None:
         raise ValueError("--max-degree does not apply to --algebra AX, whose 13 relations are all quadratic")
     if args.max_degree is not None and args.max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    rels, _ = _relations(args, params)
+    if args.algebra == "AX":
+        rels = relation_set_AX(params, args.convention)
+    else:
+        rels = relation_set_E(params, _max_degree(args), args.convention)
     _emit(args, format_relation_set(rels))
     return 0
 
@@ -393,11 +405,4 @@ def _run(argv) -> int:
     except (MemoryError, OverflowError, RecursionError) as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: the computation exceeded an internal limit ({type(exc).__name__}{detail})", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        from .count import HypothesisError  # a RuntimeError, raised only by a command that loaded `count`
-
-        if not isinstance(exc, HypothesisError):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
         return 1

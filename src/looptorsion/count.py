@@ -8,6 +8,30 @@ a_m * rho(4, m+1) has content |a_m| and leading word u4 v^(m-1) w.  A
 leading word holds a u only in its first letter, so no proper suffix of
 one is a prefix of another (no overlaps) and none lies inside another.
 
+Proof, in either sign convention.  [f, g] is fg - gf or fg + gf, and
+for g a letter other than u_i the words of [f, g] that begin with u_i
+are those of fg alone, each with its coefficient in f.  By induction
+sigma(i, m) = [sigma(i, m-1), v] is a sum of words with one u_i and
+m - 1 v's, of which u_i v^(m-1) alone begins with u_i, with coefficient
+1; so rho(i, m) = [sigma(i, m-1), w] has u_i v^(m-2) w as its only word
+beginning with u_i, with coefficient 1, and every other word begins
+with v or w, which rank below u_i: it is the leading word.  In tau_m =
+rho(1, m) + a_m rho(2, m) + b_m rho(3, m) the three terms share no word
+(each word holds one u, and it differs), so u1 v^(m-2) w keeps
+coefficient 1 and leads, and the content is 1.  Every coefficient of
+a_m rho(4, m+1) is a_m times one of rho(4, m+1)'s, among them 1, so its
+content is |a_m| and its leading coefficient a_m is +-1 times it.  Each
+leading word u v^k w holds its only u first and its only w last.  A
+proper suffix holds no u and every prefix begins with one: no overlaps.
+An occurrence of one leading word inside another starts at the other's
+u and ends at its w, so it is all of it, and no two relations share a
+leading word (the u tells the family, the length the index): none nests.
+Neither step reads the sign of gf, so both hypotheses below are a
+theorem for every parameter choice, convention and truncation, and
+`generated_shapes` states the shapes of a generated set without building
+it; `relation_shapes`, which checks both hypotheses on built elements,
+is its oracle.
+
 Under those two hypotheses every word splits uniquely as
 g0 L1 g1 ... Lk gk, with the Li occurrences of leading words and the gi
 normal words (words containing no leading word).  The normal words are
@@ -47,7 +71,11 @@ the degree matrix mod p (`quotient.dimension`) is its oracle.
 
 `counted_pieces` and `counted_torsion` give the graded pieces, which the
 `torsion-primes` report lists, and `counted_dimensions` the series the
-`hilbert` command prints.  The count reads relation degrees, leading
+`hilbert` command prints.  Both commands pass a
+`presentation.GeneratedFamily`, whose shapes come from the parameters,
+so they build no relation element; an AX family takes the E family's
+counts times 1 / (1 - 2t) with nothing regenerated.  A `RelationSet` is
+read by `relation_shapes`.  The count reads relation degrees, leading
 words and contents only, and imports neither `snf` nor `quotient`;
 `quotient.graded_piece`, the Smith normal form of the degree matrix, is
 its oracle.  A relation set that breaks a hypothesis raises
@@ -61,7 +89,15 @@ from itertools import accumulate, chain
 from math import gcd, prod
 
 from . import numtheory
-from .presentation import AX_NUM_GENS, RelationSet, relation_set_AX, relation_set_E
+from .presentation import (
+    AX_NUM_GENS,
+    E_NUM_GENS,
+    GeneratedFamily,
+    Params,
+    RelationSet,
+    relation_set_AX,
+    relation_set_E,
+)
 from .series import invert_series
 
 
@@ -114,6 +150,20 @@ def relation_shapes(rels: RelationSet) -> list[tuple[int, int]]:
     return shapes
 
 
+def generated_shapes(params: Params, max_degree: int) -> list[tuple[int, int]]:
+    """(degree, content) of each relation of the generated E set through max_degree, from the parameters alone.
+
+    (m, 1) for tau_m, 2 <= m <= max_degree, then (m + 1, |a_m|) for
+    a_m * rho(4, m+1), 2 <= m <= max_degree - 1 and a_m != 0: the
+    relations of `relation_set_E(params, max_degree, convention)` in its
+    order, in either convention.  Both hypotheses hold for them (module
+    docstring), so nothing is checked; `relation_shapes` of the built set
+    is the oracle.
+    """
+    rho_shapes = [(m + 1, abs(am)) for m, am, _ in numtheory.coeff_sequence(params, max_degree - 1) if am]
+    return [(m, 1) for m in range(2, max_degree + 1)] + rho_shapes
+
+
 def _times(f: list[int], h: list[int]) -> list[int]:
     return [sum(f[i] * h[k - i] for i in range(k + 1)) for k in range(len(f))]
 
@@ -157,12 +207,16 @@ def invariant_factors(counts: dict[tuple[int, int], int]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _graded_shapes(rels: RelationSet, max_degree: int) -> tuple[int, list[tuple[int, int]], bool]:
+def _graded_shapes(rels: RelationSet | GeneratedFamily, max_degree: int) -> tuple[int, list[tuple[int, int]], bool]:
     """(generators, relation shapes, is AX) for the count of the quotient in degrees 0..max_degree.
 
-    An AX set must be the generated one; its shapes are those of the E
-    set regenerated with the same parameters and convention.
+    A `GeneratedFamily` gives the shapes of its E set from the
+    parameters.  A `RelationSet` is read by `relation_shapes`; an AX set
+    must be the generated one, and its shapes are those of the E set
+    regenerated with the same parameters and convention.
     """
+    if isinstance(rels, GeneratedFamily):
+        return E_NUM_GENS, generated_shapes(rels.params, max_degree), rels.algebra == "AX"
     if rels.num_gens != AX_NUM_GENS:
         return rels.num_gens, relation_shapes(rels), False
     if rels != relation_set_AX(rels.params, rels.convention):
@@ -185,7 +239,7 @@ def _over_one_minus_2t(series: list[int]) -> list[int]:
 
 
 def counted_torsion(
-    rels: RelationSet, max_degree: int
+    rels: RelationSet | GeneratedFamily, max_degree: int
 ) -> tuple[list[GradedPiece], set[int], dict[int, dict[int, int]]]:
     """`counted_pieces`, the primes that divide an invariant factor of some degree, and the factored contents.
 
@@ -217,17 +271,18 @@ def counted_torsion(
     return pieces, {p for (p, _), series in counts.items() if any(series)}, factored
 
 
-def counted_pieces(rels: RelationSet, max_degree: int) -> list[GradedPiece]:
+def counted_pieces(rels: RelationSet | GeneratedFamily, max_degree: int) -> list[GradedPiece]:
     """Degrees 0..max_degree from the closed-form count, with no matrix.
 
-    Raises HypothesisError for a relation set the count does not cover,
-    and MemoryError like `counted_torsion`; `quotient.graded_piece` is
-    the oracle it must agree with.
+    Raises HypothesisError for a relation set the count does not cover
+    (never for a `GeneratedFamily`), and MemoryError like
+    `counted_torsion`; `quotient.graded_piece` is the oracle it must
+    agree with.
     """
     return counted_torsion(rels, max_degree)[0]
 
 
-def counted_dimensions(rels: RelationSet, field, max_degree: int) -> list[int]:
+def counted_dimensions(rels: RelationSet | GeneratedFamily, field, max_degree: int) -> list[int]:
     """Dimensions over Q ("Q") or F_p in degrees 0..max_degree, from the count.
 
     Tensoring is right exact, so over F_p the quotient is the integer

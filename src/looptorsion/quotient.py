@@ -10,7 +10,9 @@ The matrices, Smith forms and modular ranks serve `graded_piece`,
 `dimension` and `element_order`, the independent oracle of the
 closed-form count in `count`, which builds no matrix.  The torsion
 report is the one reader of that count here: its graded pieces and
-computed primes come from `count.counted_torsion`.  The matrices and
+computed primes come from `count.counted_torsion`, of a `RelationSet` or,
+from `torsion-primes`, of a `presentation.GeneratedFamily`, for which no
+relation element is built.  The matrices and
 Smith forms are memoized per relation set and degree, since the
 verification suites and the twisted-tensor check revisit them for every
 field; a modular rank is not kept.
@@ -24,7 +26,7 @@ from functools import cache
 from . import count, numtheory, snf
 from .count import GradedPiece
 from .freealg import Element, word_rank
-from .presentation import RelationSet, coeff_sequence
+from .presentation import GeneratedFamily, RelationSet, coeff_sequence
 
 
 class DegreeMatrix(namedtuple("DegreeMatrix", "degree num_gens rows")):
@@ -115,8 +117,12 @@ class TorsionReport(
         return {**self._asdict(), "degrees": degrees}
 
 
-def torsion_primes_up_to(rels: RelationSet, max_degree: int) -> TorsionReport:
+def torsion_primes_up_to(rels: RelationSet | GeneratedFamily, max_degree: int) -> TorsionReport:
     """Compare computed torsion primes against the recurrence prediction.
+
+    Reads `rels`' params, convention and warnings, and passes it to the
+    count; `torsion-primes` gives a `GeneratedFamily`, so no relation
+    element is built.
 
     Computed: the primes dividing an elementary divisor in some degree up
     to max_degree, read off the closed-form count

@@ -287,6 +287,16 @@ def test_a_computation_past_a_stated_limit_is_refused_before_it_allocates(argv, 
     assert reason in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_hilbert_at_degree_500_is_the_rational_series_within_a_gigabyte():
+    # over Q the dimensions of E are (1 - t) / (1 - 7t + 7t^2 + t^3), read off the relation degrees alone
+    proc = run_limited(["hilbert", "--max-degree", "500", "--json"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    expected = [1, 6, 35]
+    while len(expected) < 501:
+        expected.append(7 * expected[-1] - 7 * expected[-2] - expected[-3])
+    assert json.loads(proc.stdout)["A"] == {"truncation": 500, "coefficients": expected}
+
+
 @pytest.mark.parametrize(
     "argv", [["census", "99999999999999999999"], ["theorem2", "7", "--bound", "99999999999999999999"]]
 )
@@ -662,34 +672,41 @@ def test_a_deferred_name_loads_its_module_on_first_access():
         cli.no_such_name
 
 
-REFUSAL_SCRIPT = """
-import sys
+BUILDERS_REFUSED_SCRIPT = """
+import contextlib, io, json, sys
 from looptorsion import cli, presentation
-from looptorsion.freealg import U1, U4, Element
-from looptorsion.presentation import Relation
-
-build = presentation.relation_set_E
-overlap = Relation("overlap", Element({(U4, U1): 1}), 2)  # u4 u1 ends where u1 w begins
 
 
-def refused(*args):
-    rels = build(*args)
-    return rels._replace(relations=rels.relations + (overlap,))
+def refuse(*args):
+    raise AssertionError("a relation element was built")
 
 
-presentation.relation_set_E = refused
-assert "looptorsion.count" not in sys.modules
-sys.exit(cli.main(["torsion-primes", "--max-degree", "4"]))
+# before `count` and `quotient` load, so their `from .presentation import` bindings are refused too
+for name in ("relation_set_E", "relation_set_AX", "tau", "rho", "sigma", "bracket"):
+    setattr(presentation, name, refuse)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append((cli.main(argv), out.getvalue()))
+print(json.dumps(runs))
 """
 
+COUNTED_COMMANDS = {
+    "torsion_primes_E5": ["torsion-primes"],
+    "torsion_primes_AX4_json": ["torsion-primes", "--algebra", "AX", "--json"],
+    "hilbert_E_field7_json": ["hilbert", "--field", "7", "--json"],
+    "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
+}
 
-def test_a_refusal_from_a_count_loaded_inside_the_command_is_one_error_line():
+
+def test_a_fresh_process_answers_torsion_primes_and_hilbert_with_every_element_builder_refused():
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", REFUSAL_SCRIPT], env=env, capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and "overlap" in proc.stderr
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    command = [sys.executable, "-c", BUILDERS_REFUSED_SCRIPT, json.dumps(list(COUNTED_COMMANDS.values()))]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    goldens = [(REPO_ROOT / "tests" / "golden" / f"{name}.txt").read_text(encoding="utf-8") for name in COUNTED_COMMANDS]
+    assert json.loads(proc.stdout) == [[0, golden] for golden in goldens]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -20,6 +20,7 @@ from looptorsion.presentation import (
     RelationSet,
     THEOREM1_PARAMS,
     coeff_sequence,
+    generated_family,
     relation_set_AX,
     relation_set_E,
 )
@@ -95,6 +96,39 @@ def test_counted_dimensions_match_the_rank_on_random_params(params, conv, field)
     assert counted_dimensions(rels, field, 4) == rank_dimensions(rels, field, 4)
     ax = relation_set_AX(params, conv)
     assert counted_dimensions(ax, field, 3) == rank_dimensions(ax, field, 3)
+
+
+#: Parameters in [-3, 3], drawn often as 0 and +-1, so that some a_m is 0.
+SMALL_PARAMS = st.tuples(*[st.one_of(st.sampled_from([0, 1, -1]), st.integers(-3, 3))] * 6).map(lambda t: Params(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_PARAMS, st.integers(-1, 20), st.sampled_from(CONVENTIONS))
+def test_generated_shapes_and_warnings_are_those_of_the_built_set(params, top, conv):
+    rels = relation_set_E(params, top, conv)
+    assert count.generated_shapes(params, top) == count.relation_shapes(rels)
+    assert generated_family("E", params, top, conv).warnings == rels.warnings
+    assert generated_family("AX", params, top, conv).warnings == relation_set_AX(params, conv).warnings == ()
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("params", FAMILIES, ids=str)
+def test_the_family_is_counted_as_the_built_set_at_E7_and_AX5(params, conv):
+    for algebra, top in (("E", 7), ("AX", 5)):
+        for n in range(top + 1):
+            family = generated_family(algebra, params, n, conv)
+            rels = relation_set_AX(params, conv) if algebra == "AX" else relation_set_E(params, n, conv)
+            if n >= 2:
+                assert torsion_primes_up_to(family, n) == torsion_primes_up_to(rels, n)
+            for field in ("Q", 2, 3, 11):
+                assert counted_dimensions(family, field, n) == counted_dimensions(rels, field, n)
+
+
+def test_a_family_refuses_an_unknown_convention_or_algebra():
+    with pytest.raises(ValueError, match="unknown sign convention 'odd'"):
+        generated_family("AX", THEOREM1_PARAMS, 1, "odd")
+    with pytest.raises(ValueError, match="unknown algebra 'F'"):
+        generated_family("F", THEOREM1_PARAMS, 4)
 
 
 def test_hilbert_builds_no_matrix(monkeypatch, capsys):
@@ -266,16 +300,37 @@ def test_count_refuses_an_AX_set_that_is_not_the_generated_one():
         counted_pieces(ax._replace(relations=ax.relations[:-1]), 3)
 
 
-@pytest.mark.parametrize("bad", [OVERLAPPING, NON_MONIC], ids=lambda r: r.tag)
-def test_cli_reports_a_refused_set_as_an_error_with_exit_1(bad, monkeypatch, capsys):
-    build = presentation.relation_set_E
-    monkeypatch.setattr(presentation, "relation_set_E", lambda *args: mutated(build(*args), bad))
-    for command in (["torsion-primes"], ["hilbert", "--field", "11"]):
-        assert cli.main([*command, "--max-degree", "4"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and bad.tag in captured.err
-        assert "Traceback" not in captured.err
+#: Golden commands of `torsion-primes` and `hilbert`, E and AX, warnings and both conventions among them.
+COUNTED_GOLDENS = {
+    "torsion_primes_E5": ["torsion-primes"],
+    "torsion_primes_AX4_json": ["torsion-primes", "--algebra", "AX", "--json"],
+    "torsion_primes_E6_a2_zero": ["torsion-primes", "--params", "0,1,1,1,0,3", "--max-degree", "6"],
+    "torsion_primes_E6_mixed_ungraded_json": [
+        "torsion-primes", "--params", "1,-2,3,-4,5,-6", "--convention", "ungraded", "--max-degree", "6", "--json"
+    ],
+    "hilbert_E_field7_json": ["hilbert", "--field", "7", "--json"],
+    "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
+    "hilbert_E_a2_zero_field2": ["hilbert", "--params", "0,1,1,1,0,3", "--field", "2"],
+    "hilbert_AX5_field29_ungraded_json": [
+        "hilbert", "--algebra", "AX", "--field", "29", "--max-degree", "5", "--convention", "ungraded", "--json"
+    ],
+}
+ELEMENT_BUILDERS = ("relation_set_E", "relation_set_AX", "tau", "rho", "sigma", "bracket")
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_GOLDENS))
+def test_torsion_primes_and_hilbert_print_their_goldens_without_building_a_relation(name, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a relation element was built")
+
+    # every binding, so that a name imported with `from ... import` is refused too
+    for module in (presentation, count, quotient):
+        for builder in ELEMENT_BUILDERS:
+            if hasattr(module, builder):
+                monkeypatch.setattr(module, builder, refuse)
+    assert cli.main(COUNTED_GOLDENS[name]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_count_shares_no_code_with_the_smith_form():

@@ -26,6 +26,7 @@ SHARED_ALLOWED = {
     "_strong_lucas_probable_prime": "Lucas step of is_prime",
     "_jacobi": "Jacobi symbol of the Lucas step and of the residue report",
     "Params": "the record of the six integers",
+    "coeff_sequence": "the recurrence that defines a_m and b_m from the six integers; verify checks it in closed form",
     "RelationSet": "the record of a relation set",
     "Element.degree": "`degree` is also the Relation field both sides read; the graph joins by name",
 }
@@ -96,6 +97,7 @@ PAIRS = {
     "naive-order/count": (["naive_order_in_quotient"], COUNT),
     "dense-smith-form/smith-form": (["invariant_factors_dense"], ["smith_normal_form"]),
     "rank-mod-p/smith-form": (["rank_mod_p"], ["smith_normal_form"]),
+    "element-builders/shape-formula": (["tau", "rho", "sigma", "bracket", "relation_shapes"], ["generated_shapes"]),
 }
 
 
