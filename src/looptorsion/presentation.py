@@ -93,7 +93,7 @@ class RelationSet(namedtuple("RelationSet", "num_gens params convention relation
         return max((r.degree for r in self.relations), default=0)
 
 
-def omitted_relation_warning(m: int) -> str:
+def _omitted_relation_warning(m: int) -> str:
     """The warning of a relation set from which a_m = 0 drops a_m * rho(4, m+1)."""
     return (
         f"a_{m} = 0: relation a_{m}*rho_{{4,{m + 1}}} is zero and was omitted; "
@@ -120,7 +120,7 @@ def relation_set_E(params: Params, maxdeg: int, convention: str = DEFAULT_CONVEN
     for m in range(2, maxdeg):
         am = seq[m][0]
         if am == 0:
-            warnings.append(omitted_relation_warning(m))
+            warnings.append(_omitted_relation_warning(m))
             continue
         rels.append(Relation(f"a_{m}*rho_{{4,{m + 1}}}", rho(4, m + 1, convention) * am, m + 1))
     return RelationSet(E_NUM_GENS, params, convention, tuple(rels), tuple(warnings))
@@ -155,7 +155,7 @@ def generated_family(
     if algebra != "E":
         raise ValueError(f"unknown algebra {algebra!r}")
     zeros = (m for m, am, _ in coeff_sequence(params, maxdeg - 1) if am == 0)
-    return GeneratedFamily(algebra, params, convention, tuple(map(omitted_relation_warning, zeros)))
+    return GeneratedFamily(algebra, params, convention, tuple(map(_omitted_relation_warning, zeros)))
 
 
 #: The (x, generator) pair of each bracket relation AX_1..AX_12, in export order.
