@@ -74,8 +74,10 @@ the degree matrix mod p (`quotient.dimension`) is its oracle.
 `hilbert` command prints.  Both commands pass a
 `presentation.GeneratedFamily`, whose shapes come from the parameters,
 so they build no relation element; an AX family takes the E family's
-counts times 1 / (1 - 2t) with nothing regenerated.  A `RelationSet` is
-read by `relation_shapes`.  The count reads relation degrees, leading
+counts times 1 / (1 - 2t) with nothing regenerated.  An AX
+`RelationSet` must equal the thirteen quadratic relations of
+`relation_set_AX` and is then counted as the AX family; any other
+`RelationSet` is read by `relation_shapes`.  The count reads relation degrees, leading
 words and contents only, and imports neither `snf` nor `quotient`;
 `quotient.graded_piece`, the Smith normal form of the degree matrix, is
 its oracle.  A relation set that breaks a hypothesis raises
@@ -96,7 +98,6 @@ from .presentation import (
     Params,
     RelationSet,
     relation_set_AX,
-    relation_set_E,
 )
 from .series import invert_series
 
@@ -210,19 +211,20 @@ def invariant_factors(counts: dict[tuple[int, int], int]) -> tuple[int, ...]:
 def _graded_shapes(rels: RelationSet | GeneratedFamily, max_degree: int) -> tuple[int, list[tuple[int, int]], bool]:
     """(generators, relation shapes, is AX) for the count of the quotient in degrees 0..max_degree.
 
-    A `GeneratedFamily` gives the shapes of its E set from the
-    parameters.  A `RelationSet` is read by `relation_shapes`; an AX set
-    must be the generated one, and its shapes are those of the E set
-    regenerated with the same parameters and convention.
+    An E `GeneratedFamily` gives the shapes of its set, truncated at its
+    own `maxdeg`, from the parameters.  Another `RelationSet` is read by
+    `relation_shapes`.  An AX set must be the generated one; it and an
+    AX family count through the E shapes up to max_degree, from the
+    parameters.
     """
     if isinstance(rels, GeneratedFamily):
-        return E_NUM_GENS, generated_shapes(rels.params, max_degree), rels.algebra == "AX"
-    if rels.num_gens != AX_NUM_GENS:
+        if rels.algebra == "E":
+            return E_NUM_GENS, generated_shapes(rels.params, rels.maxdeg), False
+    elif rels.num_gens != AX_NUM_GENS:
         return rels.num_gens, relation_shapes(rels), False
-    if rels != relation_set_AX(rels.params, rels.convention):
+    elif rels != relation_set_AX(rels.params, rels.convention):
         raise HypothesisError("the AX relation set differs from the generated one")
-    inner = relation_set_E(rels.params, max_degree, rels.convention)
-    return inner.num_gens, relation_shapes(inner), True
+    return E_NUM_GENS, generated_shapes(rels.params, max_degree), True
 
 
 def _graded_counts(graded, max_degree: int, prime_powers) -> tuple[list[int], dict]:

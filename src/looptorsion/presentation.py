@@ -126,14 +126,15 @@ def relation_set_E(params: Params, maxdeg: int, convention: str = DEFAULT_CONVEN
     return RelationSet(E_NUM_GENS, params, convention, tuple(rels), tuple(warnings))
 
 
-class GeneratedFamily(namedtuple("GeneratedFamily", "algebra params convention warnings")):
+class GeneratedFamily(namedtuple("GeneratedFamily", "algebra params convention maxdeg warnings")):
     """The generated relation set of E or AX, named by its parameters; no element is built.
 
     It stands in for the `RelationSet` that `relation_set_E` or
     `relation_set_AX` would build, where a reader needs only the
     parameters: the closed-form count in `count` reads the relation
-    shapes off `params`.  `algebra` is "E" or "AX"; `warnings` are the
-    built set's.
+    shapes off `params`.  `algebra` is "E" or "AX"; `maxdeg` is the E
+    set's truncation (None for AX, whose set has none); `warnings` are
+    the built set's.
     """
 
     __slots__ = ()
@@ -151,11 +152,11 @@ def generated_family(
     """
     check_convention(convention)
     if algebra == "AX":
-        return GeneratedFamily(algebra, params, convention, ())
+        return GeneratedFamily(algebra, params, convention, None, ())
     if algebra != "E":
         raise ValueError(f"unknown algebra {algebra!r}")
     zeros = (m for m, am, _ in coeff_sequence(params, maxdeg - 1) if am == 0)
-    return GeneratedFamily(algebra, params, convention, tuple(map(_omitted_relation_warning, zeros)))
+    return GeneratedFamily(algebra, params, convention, maxdeg, tuple(map(_omitted_relation_warning, zeros)))
 
 
 #: The (x, generator) pair of each bracket relation AX_1..AX_12, in export order.

@@ -672,43 +672,6 @@ def test_a_deferred_name_loads_its_module_on_first_access():
         cli.no_such_name
 
 
-BUILDERS_REFUSED_SCRIPT = """
-import contextlib, io, json, sys
-from looptorsion import cli, presentation
-
-
-def refuse(*args):
-    raise AssertionError("a relation element was built")
-
-
-# before `count` and `quotient` load, so their `from .presentation import` bindings are refused too
-for name in ("relation_set_E", "relation_set_AX", "tau", "rho", "sigma", "bracket"):
-    setattr(presentation, name, refuse)
-runs = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runs.append((cli.main(argv), out.getvalue()))
-print(json.dumps(runs))
-"""
-
-COUNTED_COMMANDS = {
-    "torsion_primes_E5": ["torsion-primes"],
-    "torsion_primes_AX4_json": ["torsion-primes", "--algebra", "AX", "--json"],
-    "hilbert_E_field7_json": ["hilbert", "--field", "7", "--json"],
-    "hilbert_AX_field13": ["hilbert", "--algebra", "AX", "--field", "13"],
-}
-
-
-def test_a_fresh_process_answers_torsion_primes_and_hilbert_with_every_element_builder_refused():
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    command = [sys.executable, "-c", BUILDERS_REFUSED_SCRIPT, json.dumps(list(COUNTED_COMMANDS.values()))]
-    proc = subprocess.run(command, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stderr == ""
-    goldens = [(REPO_ROOT / "tests" / "golden" / f"{name}.txt").read_text(encoding="utf-8") for name in COUNTED_COMMANDS]
-    assert json.loads(proc.stdout) == [[0, golden] for golden in goldens]
-
-
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # compared with a bare interpreter, so that what `site` loads on a machine does not count
     added = loaded_modules("import looptorsion.cli") - loaded_modules("pass")

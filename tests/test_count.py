@@ -124,6 +124,15 @@ def test_the_family_is_counted_as_the_built_set_at_E7_and_AX5(params, conv):
                 assert counted_dimensions(family, field, n) == counted_dimensions(rels, field, n)
 
 
+@pytest.mark.parametrize("params", FAMILIES, ids=str)
+def test_an_E_family_counted_past_its_truncation_is_the_built_set_counted_there(params):
+    for k in range(-1, 6):
+        family, rels = generated_family("E", params, k, GRADED), relation_set_E(params, k, GRADED)
+        for n in (6, 8):
+            assert torsion_primes_up_to(family, n) == torsion_primes_up_to(rels, n)
+            assert counted_dimensions(family, 5, n) == counted_dimensions(rels, 5, n)
+
+
 def test_a_family_refuses_an_unknown_convention_or_algebra():
     with pytest.raises(ValueError, match="unknown sign convention 'odd'"):
         generated_family("AX", THEOREM1_PARAMS, 1, "odd")

@@ -26,7 +26,6 @@ SHARED_ALLOWED = {
     "_strong_lucas_probable_prime": "Lucas step of is_prime",
     "_jacobi": "Jacobi symbol of the Lucas step and of the residue report",
     "Params": "the record of the six integers",
-    "coeff_sequence": "the recurrence that defines a_m and b_m from the six integers; verify checks it in closed form",
     "RelationSet": "the record of a relation set",
     "Element.degree": "`degree` is also the Relation field both sides read; the graph joins by name",
 }
@@ -72,10 +71,10 @@ def reach(graph, roots) -> set[str]:
     return seen
 
 
-def shared(graph, left, right) -> set[str]:
+def shared(graph, left, right, allowed=SHARED_ALLOWED) -> set[str]:
     """Nodes both root sets reach, apart from the allowed names (a class name allows its methods)."""
     both = reach(graph, left) & reach(graph, right)
-    return {n for n in both if n not in SHARED_ALLOWED and n.split(".")[0] not in SHARED_ALLOWED}
+    return {n for n in both if n not in allowed and n.split(".")[0] not in allowed}
 
 
 def public_names(path: Path) -> list[str]:
@@ -99,6 +98,13 @@ PAIRS = {
     "rank-mod-p/smith-form": (["rank_mod_p"], ["smith_normal_form"]),
     "element-builders/shape-formula": (["tau", "rho", "sigma", "bracket", "relation_shapes"], ["generated_shapes"]),
 }
+#: Names the two sides of one pair may also reach, with the reason; the other pairs stay strict.
+PAIR_ALLOWED = {
+    "element-builders/shape-formula": {
+        "coeff_sequence": "both sides read a_m from the recurrence that defines it; the pair checks the shapes "
+        "built from a_m, and verify checks the recurrence in closed form",
+    },
+}
 
 
 def test_count_roots_hold_what_production_calls():
@@ -115,7 +121,7 @@ def graph():
 def test_oracle_and_fast_path_reach_no_common_code(graph, pair):
     left, right = PAIRS[pair]
     assert left and right and set(left + right) <= set(graph), "a root is not defined in src/"
-    assert shared(graph, left, right) == set()
+    assert shared(graph, left, right, SHARED_ALLOWED | PAIR_ALLOWED.get(pair, {})) == set()
 
 
 SEEDED = '''
@@ -152,3 +158,5 @@ def test_checker_reports_a_helper_two_roots_share():
     # an allowed name is not reported, and roots that share nothing report nothing
     assert shared(seeded, ["fast", "Params"], ["other"]) == set()
     assert shared(seeded, ["other"], ["oracle"]) == set()
+    # a name allowed for one call is not reported there only
+    assert shared(seeded, ["fast"], ["oracle"], {"helper": "seeded"}) == set()
