@@ -35,9 +35,9 @@ print("rho(4,2) is order-free: the only degree-2 relation has no u4 support.")
 print("tau(2) is itself a relation, so its order is", element_order(tau(2, THEOREM1_PARAMS), rels, 2))
 print()
 
-report = torsion_primes_up_to(rels, 5)
+report = torsion_primes_up_to("E", THEOREM1_PARAMS, 5)
 print("Torsion report through degree 5:")
-same = counted_pieces(rels, 5) == [graded_piece(rels, n) for n in range(6)]
+same = counted_pieces("E", THEOREM1_PARAMS, 5) == [graded_piece(rels, n) for n in range(6)]
 print("  pieces counted in closed form equal the Smith form's:", same)
 print("  computed torsion primes:", report.computed_primes)
 print("  predicted (primes of a_2..a_4):", report.predicted_primes)

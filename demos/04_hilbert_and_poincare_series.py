@@ -19,7 +19,7 @@ print("Inner algebra dimension series (truncated at degree 5), from the rank")
 print("of each degree matrix and from the closed-form count that `hilbert` reads:")
 for field in ("Q", 11, 13):
     series = [dimension(rels_e, n, field) for n in range(6)]
-    counted = counted_dimensions(rels_e, field, 5)
+    counted = counted_dimensions("E", THEOREM1_PARAMS, field, 5)
     print(f"  over {str(field):>2}, rank:  {format_series(series)}")
     print(f"  over {str(field):>2}, count: {format_series(counted)}  (equal: {counted == series})")
 print()

@@ -6,9 +6,9 @@ Each command imports only the modules it runs: `census`, `classify`,
 closed-form count (`count`, `series`) without the matrix oracle
 (`quotient`, `snf`), which loads only in `torsion-primes`, `order` and
 `verify`; and `json` loads only when JSON is written.  `torsion-primes`
-and `hilbert` name their relation family by its parameters
-(`presentation.generated_family`) and build no relation element;
-`export-relations`, `order` and `verify` build relation sets.
+and `hilbert` pass the count the algebra and the six parameters and
+build no relation element; `export-relations`, `order` and `verify`
+build relation sets.
 
 `main` lifts Python's limit on the digits of an int read or written as
 text while it runs, so a bound or an a_m of any length is read and
@@ -75,14 +75,6 @@ def _max_degree(args) -> int:
     return AX_DEFAULT_DEGREE if args.algebra == "AX" else E_DEFAULT_DEGREE
 
 
-def _family(args, params: numtheory.Params):
-    """The generated family the flags name, and its truncation; no relation element is built."""
-    from .presentation import generated_family
-
-    maxdeg = _max_degree(args)
-    return generated_family(args.algebra, params, maxdeg, args.convention), maxdeg
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -115,12 +107,12 @@ def cmd_torsion_primes(args) -> int:
     from .quotient import torsion_primes_up_to
 
     params = _params_from(args)
-    family, maxdeg = _family(args, params)
-    report = torsion_primes_up_to(family, maxdeg)
+    maxdeg = _max_degree(args)
+    report = torsion_primes_up_to(args.algebra, params, maxdeg, args.convention)
     if args.json:
         _emit_json(args, report.to_json())
         return 0
-    lines = [f"# algebra {args.algebra}, {params}, convention {family.convention}, degrees <= {maxdeg}"]
+    lines = [f"# algebra {args.algebra}, {params}, convention {report.convention}, degrees <= {maxdeg}"]
     for piece in report.degrees:
         div = ",".join(map(str, piece.divisors)) or "-"
         lines.append(f"degree {piece.degree}: free rank {piece.free_rank}, divisors {div}")
@@ -166,12 +158,12 @@ def cmd_hilbert(args) -> int:
     from .series import G2, R4, format_series, roos_poincare, series_json
 
     params = _params_from(args)
-    family, maxdeg = _family(args, params)
+    maxdeg = _max_degree(args)
     try:
         field = args.field if args.field == "Q" else int(args.field)
     except ValueError:
         raise ValueError("--field must be Q or a prime") from None
-    a_series = counted_dimensions(family, field, maxdeg)
+    a_series = counted_dimensions(args.algebra, params, field, maxdeg)
     payload = {"algebra": args.algebra, "field": str(field), "A": series_json(a_series)}
     lines = [f"A(t) [{args.algebra}, field {field}] = {format_series(a_series)}"]
     if args.algebra == "AX":

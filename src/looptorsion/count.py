@@ -71,17 +71,11 @@ the degree matrix mod p (`quotient.dimension`) is its oracle.
 
 `counted_pieces` and `counted_torsion` give the graded pieces, which the
 `torsion-primes` report lists, and `counted_dimensions` the series the
-`hilbert` command prints.  Both commands pass a
-`presentation.GeneratedFamily`, whose shapes come from the parameters,
-so they build no relation element; an AX family takes the E family's
-counts times 1 / (1 - 2t) with nothing regenerated.  An AX
-`RelationSet` must equal the thirteen quadratic relations of
-`relation_set_AX` and is then counted as the AX family; any other
-`RelationSet` is read by `relation_shapes`.  The count reads relation degrees, leading
-words and contents only, and imports neither `snf` nor `quotient`;
-`quotient.graded_piece`, the Smith normal form of the degree matrix, is
-its oracle.  A relation set that breaks a hypothesis raises
-HypothesisError; there is no fallback.
+`hilbert` command prints.  Each takes the algebra ("E" or "AX") and the
+six parameters, reads the shapes off `generated_shapes`, and builds no
+relation element; AX takes E's counts times 1 / (1 - 2t).  The count
+imports neither `snf` nor `quotient`; `quotient.graded_piece`, the Smith
+normal form of the degree matrix of the built set, is its oracle.
 """
 
 from __future__ import annotations
@@ -91,14 +85,7 @@ from itertools import accumulate, chain
 from math import gcd, prod
 
 from . import numtheory
-from .presentation import (
-    AX_NUM_GENS,
-    E_NUM_GENS,
-    GeneratedFamily,
-    Params,
-    RelationSet,
-    relation_set_AX,
-)
+from .presentation import E_NUM_GENS, Params, RelationSet
 from .series import invert_series
 
 
@@ -208,30 +195,19 @@ def invariant_factors(counts: dict[tuple[int, int], int]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def _graded_shapes(rels: RelationSet | GeneratedFamily, max_degree: int) -> tuple[int, list[tuple[int, int]], bool]:
-    """(generators, relation shapes, is AX) for the count of the quotient in degrees 0..max_degree.
-
-    An E `GeneratedFamily` gives the shapes of its set, truncated at its
-    own `maxdeg`, from the parameters.  Another `RelationSet` is read by
-    `relation_shapes`.  An AX set must be the generated one; it and an
-    AX family count through the E shapes up to max_degree, from the
-    parameters.
-    """
-    if isinstance(rels, GeneratedFamily):
-        if rels.algebra == "E":
-            return E_NUM_GENS, generated_shapes(rels.params, rels.maxdeg), False
-    elif rels.num_gens != AX_NUM_GENS:
-        return rels.num_gens, relation_shapes(rels), False
-    elif rels != relation_set_AX(rels.params, rels.convention):
-        raise HypothesisError("the AX relation set differs from the generated one")
-    return E_NUM_GENS, generated_shapes(rels.params, max_degree), True
+def _shapes(algebra: str, params: Params, max_degree: int) -> list[tuple[int, int]]:
+    """`generated_shapes(params, max_degree)`, after refusing an unknown algebra or a negative truncation."""
+    if algebra not in ("E", "AX"):
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if max_degree < 0:
+        raise ValueError("truncation must be nonnegative")
+    return generated_shapes(params, max_degree)
 
 
-def _graded_counts(graded, max_degree: int, prime_powers) -> tuple[list[int], dict]:
-    """`piece_counts` of the quotient whose `_graded_shapes` is `graded`."""
-    num_gens, shapes, ax = graded
-    free, counts = piece_counts(num_gens, shapes, max_degree, prime_powers)
-    if ax:  # AX_n = E_n + 2 AX_(n-1): the factor 1 / (1 - 2t)
+def _counts(algebra: str, shapes, max_degree: int, prime_powers) -> tuple[list[int], dict]:
+    """`piece_counts` of the generated E quotient whose relations have `shapes`, as `_shapes` gives them, or of AX."""
+    free, counts = piece_counts(E_NUM_GENS, shapes, max_degree, prime_powers)
+    if algebra == "AX":  # AX_n = E_n + 2 AX_(n-1): the factor 1 / (1 - 2t)
         free, counts = _over_one_minus_2t(free), {key: _over_one_minus_2t(s) for key, s in counts.items()}
     return free, counts
 
@@ -241,7 +217,7 @@ def _over_one_minus_2t(series: list[int]) -> list[int]:
 
 
 def counted_torsion(
-    rels: RelationSet | GeneratedFamily, max_degree: int
+    algebra: str, params: Params, max_degree: int
 ) -> tuple[list[GradedPiece], set[int], dict[int, dict[int, int]]]:
     """`counted_pieces`, the primes that divide an invariant factor of some degree, and the factored contents.
 
@@ -251,16 +227,16 @@ def counted_torsion(
     n exactly when its p^1 count is nonzero there, and a nonzero p^e
     count implies a nonzero p^1 count, so the primes are read off the
     series, not factored.  The third item maps each relation content to
-    its factorization.
+    its factorization: 1 and every nonzero |a_m|, 2 <= m <= max_degree - 1.
 
     In each degree the largest count is the number of invariant
     factors, so the size of the listing is summed before any factor is
     expanded; above `MAX_LISTED_FACTORS` it raises MemoryError.
     """
-    graded = _graded_shapes(rels, max_degree)
-    factored = {c: numtheory.factorize(c) for c in {c for d, c in graded[1] if d <= max_degree}}
+    shapes = _shapes(algebra, params, max_degree)
+    factored = {c: numtheory.factorize(c) for c in {c for _, c in shapes}}
     prime_powers = {(p, e) for f in factored.values() for p, k in f.items() for e in range(1, k + 1)}
-    free, counts = _graded_counts(graded, max_degree, prime_powers)
+    free, counts = _counts(algebra, shapes, max_degree, prime_powers)
     listed = sum(max((series[n] for series in counts.values()), default=0) for n in range(max_degree + 1))
     if listed > MAX_LISTED_FACTORS:
         raise MemoryError(
@@ -273,31 +249,29 @@ def counted_torsion(
     return pieces, {p for (p, _), series in counts.items() if any(series)}, factored
 
 
-def counted_pieces(rels: RelationSet | GeneratedFamily, max_degree: int) -> list[GradedPiece]:
-    """Degrees 0..max_degree from the closed-form count, with no matrix.
+def counted_pieces(algebra: str, params: Params, max_degree: int) -> list[GradedPiece]:
+    """Degrees 0..max_degree of the generated E or AX from the closed-form count, with no matrix.
 
-    Raises HypothesisError for a relation set the count does not cover
-    (never for a `GeneratedFamily`), and MemoryError like
-    `counted_torsion`; `quotient.graded_piece` is the oracle it must
-    agree with.
+    Raises ValueError for an unknown algebra or a negative truncation,
+    and MemoryError like `counted_torsion`; `quotient.graded_piece` of
+    the built set is the oracle it must agree with.
     """
-    return counted_torsion(rels, max_degree)[0]
+    return counted_torsion(algebra, params, max_degree)[0]
 
 
-def counted_dimensions(rels: RelationSet | GeneratedFamily, field, max_degree: int) -> list[int]:
+def counted_dimensions(algebra: str, params: Params, field, max_degree: int) -> list[int]:
     """Dimensions over Q ("Q") or F_p in degrees 0..max_degree, from the count.
 
     Tensoring is right exact, so over F_p the quotient is the integer
     quotient tensored with F_p, and Z/g tensored with F_p is F_p when p
     divides g and 0 otherwise: the free rank plus the count for p^1.
     Factors nothing and expands no factor, so no listing limit applies.
-    Raises HypothesisError like `counted_pieces`; `quotient.dimension`
+    Refuses like `counted_pieces`; `quotient.dimension` of the built set
     is the oracle it must agree with.
     """
-    if max_degree < 0:
-        raise ValueError("truncation must be nonnegative")
+    shapes = _shapes(algebra, params, max_degree)
     p = None if field == "Q" else int(field)
     if p is not None and not numtheory.is_prime(p):
         raise ValueError(f"field characteristic {p} is not prime")
-    free, counts = _graded_counts(_graded_shapes(rels, max_degree), max_degree, [(p, 1)] if p else [])
+    free, counts = _counts(algebra, shapes, max_degree, [(p, 1)] if p else [])
     return [f + c for f, c in zip(free, counts[p, 1])] if p else free

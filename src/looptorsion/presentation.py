@@ -10,8 +10,6 @@ Six integer parameters (a, b, c, d, a2, b2) drive everything:
   u1..u4, v, w;
 * the relation family S = {tau_m} u {a_m * rho_{4,m+1}} presenting the
   inner algebra E as a quotient of the free algebra;
-* `GeneratedFamily`, which names a generated E or AX set by its
-  parameters without building an element, for the closed-form count;
 * the images of u1..u4, v, w under the derivations x1, x2, and from
   them the thirteen quadratic relations [x, g] - x*g and tau_2
   presenting the full 8-generator algebra AX, which the `action` module
@@ -93,8 +91,8 @@ class RelationSet(namedtuple("RelationSet", "num_gens params convention relation
         return max((r.degree for r in self.relations), default=0)
 
 
-def _omitted_relation_warning(m: int) -> str:
-    """The warning of a relation set from which a_m = 0 drops a_m * rho(4, m+1)."""
+def omitted_relation_warning(m: int) -> str:
+    """The warning of a relation set from which a_m = 0 drops a_m * rho(4, m+1); the torsion report repeats it."""
     return (
         f"a_{m} = 0: relation a_{m}*rho_{{4,{m + 1}}} is zero and was omitted; "
         f"no torsion is predicted in degree {m + 1} from it"
@@ -120,43 +118,10 @@ def relation_set_E(params: Params, maxdeg: int, convention: str = DEFAULT_CONVEN
     for m in range(2, maxdeg):
         am = seq[m][0]
         if am == 0:
-            warnings.append(_omitted_relation_warning(m))
+            warnings.append(omitted_relation_warning(m))
             continue
         rels.append(Relation(f"a_{m}*rho_{{4,{m + 1}}}", rho(4, m + 1, convention) * am, m + 1))
     return RelationSet(E_NUM_GENS, params, convention, tuple(rels), tuple(warnings))
-
-
-class GeneratedFamily(namedtuple("GeneratedFamily", "algebra params convention maxdeg warnings")):
-    """The generated relation set of E or AX, named by its parameters; no element is built.
-
-    It stands in for the `RelationSet` that `relation_set_E` or
-    `relation_set_AX` would build, where a reader needs only the
-    parameters: the closed-form count in `count` reads the relation
-    shapes off `params`.  `algebra` is "E" or "AX"; `maxdeg` is the E
-    set's truncation (None for AX, whose set has none); `warnings` are
-    the built set's.
-    """
-
-    __slots__ = ()
-
-
-def generated_family(
-    algebra: str, params: Params, maxdeg: int, convention: str = DEFAULT_CONVENTION
-) -> GeneratedFamily:
-    """The family of the set that `relation_set_E` ("E") or `relation_set_AX` ("AX") would build.
-
-    The E set is truncated at maxdeg; the AX set ignores it.  Refuses an
-    unknown convention, as the builders do.  The E warnings are
-    `relation_set_E`'s, one for each a_m = 0 with 2 <= m <= maxdeg - 1;
-    the AX set has none.
-    """
-    check_convention(convention)
-    if algebra == "AX":
-        return GeneratedFamily(algebra, params, convention, None, ())
-    if algebra != "E":
-        raise ValueError(f"unknown algebra {algebra!r}")
-    zeros = (m for m, am, _ in coeff_sequence(params, maxdeg - 1) if am == 0)
-    return GeneratedFamily(algebra, params, convention, maxdeg, tuple(map(_omitted_relation_warning, zeros)))
 
 
 #: The (x, generator) pair of each bracket relation AX_1..AX_12, in export order.

@@ -10,9 +10,8 @@ The matrices, Smith forms and modular ranks serve `graded_piece`,
 `dimension` and `element_order`, the independent oracle of the
 closed-form count in `count`, which builds no matrix.  The torsion
 report is the one reader of that count here: its graded pieces and
-computed primes come from `count.counted_torsion`, of a `RelationSet` or,
-from `torsion-primes`, of a `presentation.GeneratedFamily`, for which no
-relation element is built.  The matrices and
+computed primes come from `count.counted_torsion` of the algebra and the
+six parameters, so no relation element is built.  The matrices and
 Smith forms are memoized per relation set and degree, since the
 verification suites and the twisted-tensor check revisit them for every
 field; a modular rank is not kept.
@@ -25,8 +24,8 @@ from functools import cache
 
 from . import count, numtheory, snf
 from .count import GradedPiece
-from .freealg import Element, word_rank
-from .presentation import GeneratedFamily, RelationSet, coeff_sequence
+from .freealg import DEFAULT_CONVENTION, Element, check_convention, word_rank
+from .presentation import Params, RelationSet, coeff_sequence, omitted_relation_warning
 
 
 class DegreeMatrix(namedtuple("DegreeMatrix", "degree num_gens rows")):
@@ -46,6 +45,8 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
     Duplicate rows are kept: they change neither the Smith form nor any
     rank.
     """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     g = rels.num_gens
     rows: list[dict[int, int]] = []
     for rel in rels.relations:
@@ -69,8 +70,6 @@ def ideal_spanning_matrix(rels: RelationSet, n: int) -> DegreeMatrix:
 @cache
 def graded_piece(rels: RelationSet, n: int) -> GradedPiece:
     """Free rank and elementary divisors of the quotient in degree n."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     invs, rank = snf.smith_normal_form(ideal_spanning_matrix(rels, n).rows)
     return GradedPiece(n, rels.num_gens**n - rank, tuple(d for d in invs if d > 1))
 
@@ -117,12 +116,10 @@ class TorsionReport(
         return {**self._asdict(), "degrees": degrees}
 
 
-def torsion_primes_up_to(rels: RelationSet | GeneratedFamily, max_degree: int) -> TorsionReport:
-    """Compare computed torsion primes against the recurrence prediction.
-
-    Reads `rels`' params, convention and warnings, and passes it to the
-    count; `torsion-primes` gives a `GeneratedFamily`, so no relation
-    element is built.
+def torsion_primes_up_to(
+    algebra: str, params: Params, max_degree: int, convention: str = DEFAULT_CONVENTION
+) -> TorsionReport:
+    """Compare computed torsion primes against the recurrence prediction for the generated E or AX.
 
     Computed: the primes dividing an elementary divisor in some degree up
     to max_degree, read off the closed-form count
@@ -132,28 +129,31 @@ def torsion_primes_up_to(rels: RelationSet | GeneratedFamily, max_degree: int) -
     Predicted: primes dividing some nonzero a_m with
     2 <= m <= max_degree - 1 (the relation a_m * rho(4, m+1) is expected
     to leave rho(4, m+1) with order a_m in degree m + 1).  It reads no
-    count: it reuses the factorization of any |a_m| that is a relation
-    content and factors each other distinct |a_m| once.
+    count: each such |a_m| is a relation content, factored once by the
+    count.
+    Warnings: for each a_m = 0 in that range, E's `relation_set_E`
+    warning that the relation was omitted, then the report's own that
+    the prediction is void.  An unknown convention is refused.
     """
+    check_convention(convention)
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    pieces, computed, factored = count.counted_torsion(rels, max_degree)
+    pieces, computed, factored = count.counted_torsion(algebra, params, max_degree)
     predicted: set[int] = set()
-    warnings = list(rels.warnings)
-    for m, am, _ in coeff_sequence(rels.params, max_degree - 1):
+    omitted, void = [], []
+    for m, am, _ in coeff_sequence(params, max_degree - 1):
         if am == 0:
-            warnings.append(f"a_{m} = 0 in range: torsion prediction for degree {m + 1} is void")
-            continue
-        n = abs(am)
-        if n not in factored:
-            factored[n] = numtheory.factorize(n)
-        predicted.update(factored[n])
+            if algebra == "E":
+                omitted.append(omitted_relation_warning(m))
+            void.append(f"a_{m} = 0 in range: torsion prediction for degree {m + 1} is void")
+        else:
+            predicted.update(factored[abs(am)])
     return TorsionReport(
-        params=str(rels.params),
-        convention=rels.convention,
+        params=str(params),
+        convention=convention,
         degrees=pieces,
         computed_primes=sorted(computed),
         predicted_primes=sorted(predicted),
         agree=computed == predicted,
-        warnings=warnings,
+        warnings=omitted + void,
     )

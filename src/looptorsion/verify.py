@@ -32,7 +32,6 @@ from .presentation import (
     coeff_sequence,
     derivation_images,
     format_relation_set,
-    generated_family,
     parse_relation_set,
     relation_set_AX,
     relation_set_E,
@@ -131,9 +130,9 @@ def check_torsion_divisors() -> dict:
 
 
 def check_torsion_report() -> dict:
-    """The report `torsion-primes` prints, from the generated family, at E4 and AX3."""
-    report_e = torsion_primes_up_to(generated_family("E", THEOREM1_PARAMS, 4, GRADED), 4)
-    report_ax = torsion_primes_up_to(generated_family("AX", THEOREM1_PARAMS, 3, GRADED), 3)
+    """The report `torsion-primes` prints, from the parameters, at E4 and AX3."""
+    report_e = torsion_primes_up_to("E", THEOREM1_PARAMS, 4, GRADED)
+    report_ax = torsion_primes_up_to("AX", THEOREM1_PARAMS, 3, GRADED)
     ok = (
         report_e.agree
         and report_e.computed_primes == [11, 29]
@@ -247,29 +246,31 @@ def check_convention_comparison() -> dict:
 
 
 def check_count_oracle_agreement() -> dict:
-    """The closed-form count of the generated family equals its oracles at E <= 5 and AX <= 4.
+    """The closed-form count equals its oracles at E <= 5 and AX <= 4, in both conventions.
 
     The shapes read off the parameters equal `relation_shapes` of the
-    built E set, the counted pieces equal the Smith form of the built
-    set, and the counted dimensions over F_13 and F_11 equal its mod-p
+    built E set.  The count runs once per algebra, since it reads no
+    convention; its pieces equal the Smith form of each convention's
+    built set, and its dimensions over F_13 and F_11 that set's mod-p
     rank.  Runs after the checks that compute the Smith forms and most
     of these ranks, so it reads them from the cache.
     """
     ok = True
-    for conv in CONVENTIONS:
-        rels_e = relation_set_E(THEOREM1_PARAMS, E_DEFAULT_DEGREE, conv)
-        try:
-            ok = ok and count.generated_shapes(THEOREM1_PARAMS, E_DEFAULT_DEGREE) == count.relation_shapes(rels_e)
-        except count.HypothesisError:
-            return {"name": "count-oracle-agreement", "ok": False}
-        for algebra, rels, top in (
-            ("E", rels_e, E_DEFAULT_DEGREE),
-            ("AX", relation_set_AX(THEOREM1_PARAMS, conv), AX_DEFAULT_DEGREE),
-        ):
-            family = generated_family(algebra, THEOREM1_PARAMS, top, conv)
-            ok = ok and counted_pieces(family, top) == [graded_piece(rels, n) for n in range(top + 1)]
-            for p in (13, 11):
-                ok = ok and counted_dimensions(family, p, top) == [dimension(rels, n, p) for n in range(top + 1)]
+    for algebra, top in (("E", E_DEFAULT_DEGREE), ("AX", AX_DEFAULT_DEGREE)):
+        pieces = counted_pieces(algebra, THEOREM1_PARAMS, top)
+        dims = {p: counted_dimensions(algebra, THEOREM1_PARAMS, p, top) for p in (13, 11)}
+        for conv in CONVENTIONS:
+            if algebra == "AX":
+                rels = relation_set_AX(THEOREM1_PARAMS, conv)
+            else:
+                rels = relation_set_E(THEOREM1_PARAMS, top, conv)
+                try:
+                    ok = ok and count.generated_shapes(THEOREM1_PARAMS, top) == count.relation_shapes(rels)
+                except count.HypothesisError:
+                    return {"name": "count-oracle-agreement", "ok": False}
+            ok = ok and pieces == [graded_piece(rels, n) for n in range(top + 1)]
+            for p, counted in dims.items():
+                ok = ok and counted == [dimension(rels, n, p) for n in range(top + 1)]
     return {"name": "count-oracle-agreement", "ok": ok}
 
 

@@ -102,7 +102,7 @@ def test_criterion_03_divisor_primes_through_degree_5(validated_convention):
 
 def test_criterion_04_torsion_report_agreement(validated_convention):
     t0 = time.perf_counter()
-    report = torsion_primes_up_to(relation_set_E(THEOREM1_PARAMS, 4, validated_convention), 4)
+    report = torsion_primes_up_to("E", THEOREM1_PARAMS, 4, validated_convention)
     ok = report.agree and report.computed_primes == [11, 29] and report.predicted_primes == [11, 29]
     _record("criterion 4 (torsion report N=4: {11,29})", ok, f"{time.perf_counter() - t0:.2f}s")
 

@@ -297,6 +297,26 @@ def test_hilbert_at_degree_500_is_the_rational_series_within_a_gigabyte():
     assert json.loads(proc.stdout)["A"] == {"truncation": 500, "coefficients": expected}
 
 
+@pytest.mark.xfail(
+    raises=subprocess.TimeoutExpired,
+    reason="ROADMAP item 6: a three-term walk has no stated limit, so classify walks for about 10^26 steps",
+)
+def test_classify_of_a_27_digit_prime_in_a_three_term_family_ends():
+    proc = run_limited(["classify", "100000000000000000000000067", "--params", "1,2,3,4,5,6"], timeout=2)
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
+
+
+@pytest.mark.xfail(
+    raises=subprocess.TimeoutExpired,
+    reason="ROADMAP item 6: torsion-primes factors a 67-digit a_5 of the 2^64 family with no budget",
+)
+def test_torsion_primes_of_the_2_to_the_64_family_ends():
+    argv = ["torsion-primes", "--params", "12,18446744073709551616,0,13,-1000000000,1", "--max-degree", "6"]
+    proc = run_limited(argv, timeout=2)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("# algebra E, a=12 b=18446744073709551616 ")
+
+
 @pytest.mark.parametrize(
     "argv", [["census", "99999999999999999999"], ["theorem2", "7", "--bound", "99999999999999999999"]]
 )

@@ -20,7 +20,7 @@ from looptorsion.presentation import (
     RelationSet,
     THEOREM1_PARAMS,
     coeff_sequence,
-    generated_family,
+    omitted_relation_warning,
     relation_set_AX,
     relation_set_E,
 )
@@ -45,15 +45,15 @@ def snf_pieces(rels, top):
 @pytest.mark.parametrize("params", FAMILIES, ids=str)
 def test_count_matches_smith_form_at_E5_and_AX4(params, conv):
     rels = relation_set_E(params, 5, conv)
-    assert counted_pieces(rels, 5) == snf_pieces(rels, 5)
+    assert counted_pieces("E", params, 5) == snf_pieces(rels, 5)
     ax = relation_set_AX(params, conv)
-    assert counted_pieces(ax, 4) == snf_pieces(ax, 4)
+    assert counted_pieces("AX", params, 4) == snf_pieces(ax, 4)
 
 
 @pytest.mark.parametrize("params", FAMILIES[:2], ids=str)
 def test_count_matches_smith_form_at_E6(params):
     rels = relation_set_E(params, 6, GRADED)
-    assert counted_pieces(rels, 6)[6] == graded_piece(rels, 6)
+    assert counted_pieces("E", params, 6)[6] == graded_piece(rels, 6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -63,9 +63,9 @@ def test_count_matches_smith_form_at_E6(params):
 )
 def test_count_matches_smith_form_on_random_params(params, conv):
     rels = relation_set_E(params, 4, conv)
-    assert counted_pieces(rels, 4) == snf_pieces(rels, 4)
+    assert counted_pieces("E", params, 4) == snf_pieces(rels, 4)
     ax = relation_set_AX(params, conv)
-    assert counted_pieces(ax, 3) == snf_pieces(ax, 3)
+    assert counted_pieces("AX", params, 3) == snf_pieces(ax, 3)
 
 
 FIELDS = ["Q", 2, 3, 5, 7, 11, 13, 29, 83]
@@ -81,8 +81,8 @@ def test_counted_dimensions_match_the_rank_at_E5_and_AX4(params, conv):
     rels = relation_set_E(params, 5, conv)
     ax = relation_set_AX(params, conv)
     for field in FIELDS:
-        assert counted_dimensions(rels, field, 5) == rank_dimensions(rels, field, 5)
-        assert counted_dimensions(ax, field, 4) == rank_dimensions(ax, field, 4)
+        assert counted_dimensions("E", params, field, 5) == rank_dimensions(rels, field, 5)
+        assert counted_dimensions("AX", params, field, 4) == rank_dimensions(ax, field, 4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -93,9 +93,9 @@ def test_counted_dimensions_match_the_rank_at_E5_and_AX4(params, conv):
 )
 def test_counted_dimensions_match_the_rank_on_random_params(params, conv, field):
     rels = relation_set_E(params, 4, conv)
-    assert counted_dimensions(rels, field, 4) == rank_dimensions(rels, field, 4)
+    assert counted_dimensions("E", params, field, 4) == rank_dimensions(rels, field, 4)
     ax = relation_set_AX(params, conv)
-    assert counted_dimensions(ax, field, 3) == rank_dimensions(ax, field, 3)
+    assert counted_dimensions("AX", params, field, 3) == rank_dimensions(ax, field, 3)
 
 
 #: Parameters in [-3, 3], drawn often as 0 and +-1, so that some a_m is 0.
@@ -107,37 +107,53 @@ SMALL_PARAMS = st.tuples(*[st.one_of(st.sampled_from([0, 1, -1]), st.integers(-3
 def test_generated_shapes_and_warnings_are_those_of_the_built_set(params, top, conv):
     rels = relation_set_E(params, top, conv)
     assert count.generated_shapes(params, top) == count.relation_shapes(rels)
-    assert generated_family("E", params, top, conv).warnings == rels.warnings
-    assert generated_family("AX", params, top, conv).warnings == relation_set_AX(params, conv).warnings == ()
+    # the warnings the torsion report gives E, from the parameters
+    zeros = [m for m, am, _ in coeff_sequence(params, top - 1) if am == 0]
+    assert tuple(map(omitted_relation_warning, zeros)) == rels.warnings
+    assert relation_set_AX(params, conv).warnings == ()
+
+
+def void_warning(m):
+    return f"a_{m} = 0 in range: torsion prediction for degree {m + 1} is void"
 
 
 @pytest.mark.parametrize("conv", CONVENTIONS)
 @pytest.mark.parametrize("params", FAMILIES, ids=str)
-def test_the_family_is_counted_as_the_built_set_at_E7_and_AX5(params, conv):
+def test_the_report_warns_as_the_built_set_then_voids_at_E7_and_AX5(params, conv):
     for algebra, top in (("E", 7), ("AX", 5)):
-        for n in range(top + 1):
-            family = generated_family(algebra, params, n, conv)
+        for n in range(2, top + 1):
             rels = relation_set_AX(params, conv) if algebra == "AX" else relation_set_E(params, n, conv)
-            if n >= 2:
-                assert torsion_primes_up_to(family, n) == torsion_primes_up_to(rels, n)
-            for field in ("Q", 2, 3, 11):
-                assert counted_dimensions(family, field, n) == counted_dimensions(rels, field, n)
+            report = torsion_primes_up_to(algebra, params, n, conv)
+            terms = coeff_sequence(params, n - 1)
+            assert report.warnings == [*rels.warnings, *(void_warning(m) for m, am, _ in terms if am == 0)]
+            predicted = {p for _, am, _ in terms if am for p in numtheory.factorize(abs(am))}
+            assert report.predicted_primes == sorted(predicted)
+            assert report.convention == conv and report.params == str(params)
 
 
-@pytest.mark.parametrize("params", FAMILIES, ids=str)
-def test_an_E_family_counted_past_its_truncation_is_the_built_set_counted_there(params):
-    for k in range(-1, 6):
-        family, rels = generated_family("E", params, k, GRADED), relation_set_E(params, k, GRADED)
-        for n in (6, 8):
-            assert torsion_primes_up_to(family, n) == torsion_primes_up_to(rels, n)
-            assert counted_dimensions(family, 5, n) == counted_dimensions(rels, 5, n)
-
-
-def test_a_family_refuses_an_unknown_convention_or_algebra():
+def test_the_count_and_the_report_refuse_an_unknown_algebra_or_convention():
     with pytest.raises(ValueError, match="unknown sign convention 'odd'"):
-        generated_family("AX", THEOREM1_PARAMS, 1, "odd")
-    with pytest.raises(ValueError, match="unknown algebra 'F'"):
-        generated_family("F", THEOREM1_PARAMS, 4)
+        torsion_primes_up_to("AX", THEOREM1_PARAMS, 2, "odd")
+    for refused in (
+        lambda: counted_pieces("F", THEOREM1_PARAMS, 4),
+        lambda: count.counted_torsion("F", THEOREM1_PARAMS, 4),
+        lambda: counted_dimensions("F", THEOREM1_PARAMS, "Q", 4),
+        lambda: torsion_primes_up_to("F", THEOREM1_PARAMS, 4),
+    ):
+        with pytest.raises(ValueError, match="unknown algebra 'F'"):
+            refused()
+
+
+@pytest.mark.parametrize("algebra", ["E", "AX"])
+def test_every_count_refuses_a_negative_truncation_alike(algebra):
+    for refused in (
+        lambda: counted_pieces(algebra, THEOREM1_PARAMS, -1),
+        lambda: count.counted_torsion(algebra, THEOREM1_PARAMS, -1),
+        lambda: counted_dimensions(algebra, THEOREM1_PARAMS, 5, -1),
+    ):
+        with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+            refused()
+    assert counted_pieces(algebra, THEOREM1_PARAMS, 0) == [count.GradedPiece(0, 1, ())]
 
 
 def test_hilbert_builds_no_matrix(monkeypatch, capsys):
@@ -209,11 +225,11 @@ def test_hilbert_factors_nothing(name, argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("params", FAMILIES, ids=str)
 def test_one_prime_dimensions_match_the_pieces_counted_for_all_primes(params):
-    for rels, top in ((relation_set_E(params, 9, GRADED), 9), (relation_set_AX(params, GRADED), 7)):
-        pieces = counted_pieces(rels, top)
+    for algebra, top in (("E", 9), ("AX", 7)):
+        pieces = counted_pieces(algebra, params, top)
         for p in (2, 3, 5, 7, 11, 13):
             expected = [piece.free_rank + sum(d % p == 0 for d in piece.divisors) for piece in pieces]
-            assert counted_dimensions(rels, p, top) == expected
+            assert counted_dimensions(algebra, params, p, top) == expected
 
 
 def mutated(rels, relation):
@@ -269,13 +285,13 @@ def test_hypothesis_check_at_E150_takes_under_half_a_second():
 @pytest.mark.parametrize("conv", CONVENTIONS)
 @pytest.mark.parametrize("params", FAMILIES, ids=str)
 def test_computed_primes_are_those_of_the_largest_invariant_factors(params, conv):
-    for rels, top in ((relation_set_E(params, 9, conv), 9), (relation_set_AX(params, conv), 7)):
+    for algebra, top in (("E", 9), ("AX", 7)):
         primes = set()
-        for piece in counted_pieces(rels, top):
+        for piece in counted_pieces(algebra, params, top):
             if piece.divisors:
                 primes.update(numtheory.factorize(piece.divisors[-1]))
             if piece.degree >= 2:
-                assert torsion_primes_up_to(rels, piece.degree).computed_primes == sorted(primes)
+                assert torsion_primes_up_to(algebra, params, piece.degree, conv).computed_primes == sorted(primes)
 
 
 @pytest.mark.parametrize("params, top", [(THEOREM1_PARAMS, 8), (Params(0, 1000000007, 0, 0, 1, 0), 6)], ids=str)
@@ -291,7 +307,7 @@ def test_torsion_primes_factor_contents_and_a_m_only(params, top, monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(numtheory, "factorize", record)
-    torsion_primes_up_to(rels, top)
+    torsion_primes_up_to("E", params, top, GRADED)
     # each distinct content or |a_m| once, and nothing else
     assert sorted(seen) == sorted(contents | coefficients)
 
@@ -300,13 +316,7 @@ def test_torsion_primes_factor_contents_and_a_m_only(params, top, monkeypatch):
 def test_count_refuses_a_set_outside_its_hypotheses(bad):
     rels = mutated(relation_set_E(THEOREM1_PARAMS, 4, GRADED), bad)
     with pytest.raises(count.HypothesisError):
-        torsion_primes_up_to(rels, 4)
-
-
-def test_count_refuses_an_AX_set_that_is_not_the_generated_one():
-    ax = relation_set_AX(THEOREM1_PARAMS, GRADED)
-    with pytest.raises(count.HypothesisError):
-        counted_pieces(ax._replace(relations=ax.relations[:-1]), 3)
+        count.relation_shapes(rels)
 
 
 #: Golden commands of `torsion-primes` and `hilbert`, E and AX, warnings and both conventions among them.
@@ -363,11 +373,11 @@ def test_the_listing_size_is_counted_before_any_factor_is_expanded(monkeypatch):
         return ()
 
     monkeypatch.setattr(count, "invariant_factors", tally)
-    count.counted_torsion(relation_set_E(THEOREM1_PARAMS, 11, GRADED), 11)
+    count.counted_torsion("E", THEOREM1_PARAMS, 11)
     assert sum(listed) == 14_299_117 <= count.MAX_LISTED_FACTORS
     listed.clear()
     with pytest.raises(MemoryError, match="degrees 0..12 hold 92034197 invariant factors"):
-        count.counted_torsion(relation_set_E(THEOREM1_PARAMS, 12, GRADED), 12)
+        count.counted_torsion("E", THEOREM1_PARAMS, 12)
     assert listed == [] and 92_034_197 > count.MAX_LISTED_FACTORS
     # the dimensions expand nothing, so they take the same truncation
-    assert len(counted_dimensions(relation_set_E(THEOREM1_PARAMS, 12, GRADED), 11, 12)) == 13
+    assert len(counted_dimensions("E", THEOREM1_PARAMS, 11, 12)) == 13

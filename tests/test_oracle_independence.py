@@ -97,6 +97,7 @@ PAIRS = {
     "dense-smith-form/smith-form": (["invariant_factors_dense"], ["smith_normal_form"]),
     "rank-mod-p/smith-form": (["rank_mod_p"], ["smith_normal_form"]),
     "element-builders/shape-formula": (["tau", "rho", "sigma", "bracket", "relation_shapes"], ["generated_shapes"]),
+    "shape-reader/count": (["relation_shapes"], ["counted_torsion", "counted_pieces", "counted_dimensions"]),
 }
 #: Names the two sides of one pair may also reach, with the reason; the other pairs stay strict.
 PAIR_ALLOWED = {

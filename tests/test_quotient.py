@@ -106,14 +106,14 @@ def test_element_order_of_zero_is_one():
 
 
 def test_torsion_report_reference_small():
-    report = torsion_primes_up_to(relation_set_E(THEOREM1_PARAMS, 3, GRADED), 3)
+    report = torsion_primes_up_to("E", THEOREM1_PARAMS, 3, GRADED)
     assert report.computed_primes == [11]
     assert report.predicted_primes == [11]
     assert report.agree
 
 
 def test_torsion_report_reference_degree_4():
-    report = torsion_primes_up_to(relation_set_E(THEOREM1_PARAMS, 4, GRADED), 4)
+    report = torsion_primes_up_to("E", THEOREM1_PARAMS, 4, GRADED)
     assert report.computed_primes == [11, 29]
     assert report.predicted_primes == [11, 29]
     assert report.agree
@@ -122,20 +122,20 @@ def test_torsion_report_reference_degree_4():
 
 def test_torsion_report_unit_coefficient_family():
     params = Params(30, 1, 0, 0, 1, 0)  # a_2 = 1: the degree-3 relation is primitive
-    report = torsion_primes_up_to(relation_set_E(params, 3, GRADED), 3)
+    report = torsion_primes_up_to("E", params, 3, GRADED)
     assert report.computed_primes == []
     assert report.predicted_primes == []
     assert report.agree
 
 
 def test_torsion_report_zero_coefficient_warns():
-    report = torsion_primes_up_to(relation_set_E(Params(0, 0, 0, 0, 0, 5), 3, GRADED), 3)
+    report = torsion_primes_up_to("E", Params(0, 0, 0, 0, 0, 5), 3, GRADED)
     assert report.warnings
     assert report.agree
 
 
 def test_torsion_report_json_shape():
-    report = torsion_primes_up_to(relation_set_E(THEOREM1_PARAMS, 3, GRADED), 3)
+    report = torsion_primes_up_to("E", THEOREM1_PARAMS, 3, GRADED)
     payload = report.to_json()
     assert set(payload) == {
         "params",
@@ -166,6 +166,18 @@ def test_dimension_rejects_composite_fields():
         semi_tensor_dimension_check(THEOREM1_PARAMS, 35, 3, GRADED)
     with pytest.raises(ValueError, match=str((1 << 61) + 9)):
         dimension(rels, 1, (1 << 61) + 9)
+
+
+def test_every_matrix_route_refuses_a_negative_degree_alike():
+    rels = relation_set_E(THEOREM1_PARAMS, 3, GRADED)
+    for refused in (
+        lambda: ideal_spanning_matrix(rels, -1),
+        lambda: graded_piece(rels, -1),
+        lambda: dimension(rels, -1, "Q"),
+        lambda: dimension(rels, -1, 5),
+    ):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            refused()
 
 
 def test_a_later_field_reads_the_smith_forms_from_the_cache(monkeypatch):
