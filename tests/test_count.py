@@ -113,6 +113,24 @@ def test_generated_shapes_and_warnings_are_those_of_the_built_set(params, top, c
     assert relation_set_AX(params, conv).warnings == ()
 
 
+@pytest.mark.parametrize("conv", CONVENTIONS)
+@pytest.mark.parametrize("params", FAMILIES, ids=str)
+def test_the_E_count_is_the_built_set_read_and_counted_at_E0_to_E7(params, conv):
+    # the built set's side reads its shapes with relation_shapes, which the count never reaches
+    for n in range(8):
+        rels = relation_set_E(params, n, conv)
+        shapes = count.relation_shapes(rels)
+        for field in ("Q", 2, 3, 11):
+            p = None if field == "Q" else field
+            free, counts = count.piece_counts(rels.num_gens, shapes, n, [(p, 1)] if p else [])
+            built = [f + c for f, c in zip(free, counts[p, 1])] if p else free
+            assert counted_dimensions("E", params, field, n) == built
+        contents = {c for _, c in shapes}
+        candidates = {(q, 1) for c in contents for q in numtheory.factorize(c)}
+        _, counts = count.piece_counts(rels.num_gens, shapes, n, candidates)
+        assert count.counted_torsion("E", params, n)[1] == {q for (q, _), series in counts.items() if any(series)}
+
+
 def void_warning(m):
     return f"a_{m} = 0 in range: torsion prediction for degree {m + 1} is void"
 
