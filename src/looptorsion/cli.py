@@ -14,9 +14,12 @@ build relation sets.
 text while it runs, so a bound or an a_m of any length is read and
 printed in full.
 
-A run builds one parser: a command's line is read by `command_parser`
-alone. The parser of every command, `build_parser`, is built only for
-top-level help, a missing or unknown command, and leftover arguments.
+A plain command line builds no parser: `_plain_namespace` reads exact
+long flags, `--flag=value`, store-true flags and positionals from the
+declarations of `_add_command` and returns argparse's namespace.  Any
+other line (help, `--`, an abbreviated or unknown flag, a separate value
+starting with "-", a bad value, a missing or extra positional) goes to
+`build_parser`, the only source of help, usage and error text.
 """
 
 from __future__ import annotations
@@ -49,10 +52,21 @@ def __getattr__(name: str):
 
 def _integers(text: str, count: int, usage: str) -> list[int]:
     """Exactly `count` comma-separated integers from a flag's value; `usage` is the error otherwise."""
-    values = [int(x) for x in text.split(",")] if text else []
+    try:
+        values = [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(usage) from None
     if len(values) != count:
         raise ValueError(usage)
     return values
+
+
+def _primes(text: str, usage: str) -> list[int]:
+    """The comma-separated integers of an excluded-prime list, empty items skipped; `usage` is the error otherwise."""
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ValueError(usage) from None
 
 
 def _params_from(args) -> numtheory.Params:
@@ -62,8 +76,7 @@ def _params_from(args) -> numtheory.Params:
     if args.params is not None:
         return numtheory.Params(*_integers(args.params, 6, "--params needs exactly six integers"))
     if args.theorem2 is not None:
-        primes = [int(x) for x in args.theorem2.split(",") if x]
-        return numtheory.theorem2_params(primes)
+        return numtheory.theorem2_params(_primes(args.theorem2, "--theorem2 needs p1,p2,..."))
     return numtheory.THEOREM1_PARAMS
 
 
@@ -220,7 +233,7 @@ def cmd_census(args) -> int:
 def cmd_theorem2(args) -> int:
     if args.bound < 3:
         raise ValueError("bound must be at least 3")
-    primes = [int(x) for x in args.primes.split(",") if x]
+    primes = _primes(args.primes, "primes needs p1,p2,...")
     params = numtheory.theorem2_params(primes)
     verdicts = []
     ok = True
@@ -337,8 +350,9 @@ COMMANDS = {
 }
 
 
-def _add_command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Give `p` the flags and positionals of command `name`, and its `cmd_*` function as `func`."""
+def _add_command(name: str, p):
+    """Give `p` (an `ArgumentParser` or a `_Declared`) the flags and positionals of command `name`,
+    and its `cmd_*` function as `func`."""
     for add_flags in COMMANDS[name][1]:
         add_flags(p)
     if name == "recurrence":
@@ -362,13 +376,71 @@ def _add_command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentPars
     return p
 
 
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, built as `build_parser` builds it: the same usage, help and errors."""
-    return _add_command(name, argparse.ArgumentParser(prog=f"looptorsion {name}"))
+class _Declared:
+    """Takes `_add_command`'s `add_argument` and `set_defaults` calls where an `ArgumentParser` would."""
+
+    def __init__(self):
+        self.flags = {}  # "--flag": (dest, type, choices, whether it stores true)
+        self.positionals = []  # (dest, type, choices), in order
+        self.defaults = {}
+
+    def add_argument(self, name, action=None, type=None, choices=None, default=None, **_):
+        if not name.startswith("-"):
+            self.positionals.append((name, type, choices))
+            return
+        dest = name[2:].replace("-", "_")
+        self.flags[name] = (dest, type, choices, action == "store_true")
+        self.defaults[dest] = False if action == "store_true" else default
+
+    def set_defaults(self, **values):
+        self.defaults.update(values)
+
+
+def _plain_namespace(argv) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` for a line of exact long flags, `--flag=value`, store-true
+    flags and positionals not starting with "-"; None for any other line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    declared = _add_command(argv[0], _Declared())
+    values = dict(declared.defaults)
+    positionals = iter(declared.positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            dest, kind, choices = next(positionals, (None, None, None))
+            if dest is None:
+                return None
+            value = token
+        else:
+            flag, equals, value = token.partition("=")
+            if flag not in declared.flags:
+                return None
+            dest, kind, choices, store_true = declared.flags[flag]
+            if store_true:
+                if equals:
+                    return None
+                values[dest] = True
+                continue
+            if not equals:
+                value = next(tokens, "-")  # a missing value reads as a flag
+                if value.startswith("-"):
+                    return None
+            elif value == "--":
+                return None  # argparse drops a "--" from a flag's values
+        try:
+            value = value if kind is None else kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if next(positionals, None) is not None:
+        return None
+    return argparse.Namespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser with every command, for top-level help and for errors no one command's parser reports."""
+    """The parser with every command: help, usage and errors, and every line `_plain_namespace` turns down."""
     parser = argparse.ArgumentParser(prog="looptorsion", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help, _) in COMMANDS.items():
@@ -386,9 +458,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args, rest = command_parser(argv[0]).parse_known_args(argv[1:]) if argv and argv[0] in COMMANDS else (None, None)
-    if args is None or rest:  # no command, or arguments it leaves over: the full parser reports them
-        args = build_parser().parse_args(argv)
+    args = _plain_namespace(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from looptorsion import cli, quotient
 from looptorsion.cli import build_parser, main
@@ -198,10 +203,10 @@ def test_order_needs_exactly_one_selector(capsys):
     assert main(["order", "--rho", "4,3", "--element", "1*u1"]) == 2
 
 
-@pytest.mark.parametrize("value", ["4", "4,3,2", ""])
+@pytest.mark.parametrize("value", ["4", "4,3,2", "", "4,", "4,3,", "4,x"])
 def test_order_rho_needs_two_integers(capsys, value):
     assert main(["order", "--rho", value]) == 2
-    assert capsys.readouterr().err == "error: --rho needs I,M\n"
+    assert capsys.readouterr() == ("", "error: --rho needs I,M\n")
 
 
 def test_recursion_limit_is_a_refusal_not_a_traceback(capsys):
@@ -334,6 +339,21 @@ def test_negative_first_parameter_is_written_with_an_equals_sign(capsys):
     code, out = run_cli(capsys, "recurrence", "--params=-1,2,3,4,5,6", "3")
     assert code == 0
     assert out.startswith("# a=-1 b=2 c=3 d=4 a2=5 b2=6\n")
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["recurrence", "3", "--params", "1,2,,4,5,6"], "--params needs exactly six integers"),
+        (["census", "100", "--params=1,2,3,4,5,x"], "--params needs exactly six integers"),
+        (["recurrence", "3", "--theorem2", "2,x"], "--theorem2 needs p1,p2,..."),
+        (["classify", "41", "--theorem2=2,3.5"], "--theorem2 needs p1,p2,..."),
+        (["theorem2", "2,x"], "primes needs p1,p2,..."),
+    ],
+)
+def test_a_list_item_that_is_not_an_integer_names_its_flag(capsys, argv, usage):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {usage}\n")
 
 
 def test_empty_params_flags_are_given_not_absent(capsys):
@@ -490,16 +510,13 @@ def test_each_subcommand_accepts_only_the_flags_it_reads():
     assert sorted(JSON_SCHEMAS.values()) == sorted(path.name for path in SCHEMA_DIR.glob("*.schema.json"))
 
 
-def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys):
+def test_an_unknown_flag_is_reported_as_the_full_parser_reports_it(capsys):
     full = build_parser()
     subparsers = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
     usage = full.format_usage()
     assert "{" + ",".join(subparsers.choices) + "}" in usage
     top_level_errors = set()
-    for name, sub in subparsers.choices.items():
-        alone = cli.command_parser(name)
-        assert alone.format_usage() == sub.format_usage()
-        assert alone.format_help() == sub.format_help()
+    for name in subparsers.choices:
         with pytest.raises(SystemExit) as err:
             full.parse_args([name, "--bogus"])
         assert err.value.code == 2
@@ -515,80 +532,194 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys):
 
 
 #: Per command: its required positionals, a valid rest of the line with a `--flag=value` and an
-#: abbreviated flag, and a line whose integer argument is not an integer.
+#: abbreviated flag, a line whose integer argument is not an integer, and a valid rest of the
+#: line with exact flags only.
 PARSE_TABLE = {
-    "recurrence": (["5"], ["--params=1,2,3,4,5,6", "--js"], ["x"]),
-    "torsion-primes": ([], ["--max-deg", "6", "--algebra=AX", "--conv", "ungraded"], ["--max-degree", "x"]),
-    "classify": (["41"], ["--theorem2=7", "--o", "out.txt"], ["4.5"]),
-    "hilbert": ([], ["--field=13", "--max-deg", "3", "--alg", "AX", "--json"], ["--max-degree=x"]),
-    "order": ([], ["--rho=4,3", "--conv", "ungraded", "--elem", "1*u1"], ["--max-degree", "x"]),
-    "census": (["100"], ["--par", "1,2,3,4,5,6", "--json", "--out=c.txt"], ["1e3"]),
-    "theorem2": (["2,3"], ["--bou", "50", "--out=t.txt"], ["2,3", "--bound", "x"]),
-    "export-relations": ([], ["--max-deg", "4", "--theorem2=5", "--algebra=E"], ["--max-degree", "x"]),
-    "verify": ([], ["--rel", "r.txt", "--json"], ["--max-degree", "x"]),
+    "recurrence": (["5"], ["--params=1,2,3,4,5,6", "--js"], ["x"], ["--theorem2", "7", "--json", "--out=r.txt"]),
+    "torsion-primes": (
+        [],
+        ["--max-deg", "6", "--algebra=AX", "--conv", "ungraded"],
+        ["--max-degree", "x"],
+        ["--max-degree", "6", "--algebra=AX", "--convention", "ungraded", "--json"],
+    ),
+    "classify": (["41"], ["--theorem2=7", "--o", "out.txt"], ["4.5"], ["--params", "1,2,3,4,5,6", "--out", "c.txt"]),
+    "hilbert": (
+        [],
+        ["--field=13", "--max-deg", "3", "--alg", "AX", "--json"],
+        ["--max-degree=x"],
+        ["--field", "13", "--max-degree=3", "--algebra", "AX", "--json"],
+    ),
+    "order": (
+        [],
+        ["--rho=4,3", "--conv", "ungraded", "--elem", "1*u1"],
+        ["--max-degree", "x"],
+        ["--element", "1*u1", "--algebra", "AX", "--convention=graded"],
+    ),
+    "census": (["100"], ["--par", "1,2,3,4,5,6", "--json", "--out=c.txt"], ["1e3"], ["--theorem2=", "--json"]),
+    "theorem2": (["2,3"], ["--bou", "50", "--out=t.txt"], ["2,3", "--bound", "x"], ["--bound=-5", "--json"]),
+    "export-relations": (
+        [],
+        ["--max-deg", "4", "--theorem2=5", "--algebra=E"],
+        ["--max-degree", "x"],
+        ["--max-degree", "4", "--params=-1,2,3,4,5,6", "--convention", "ungraded"],
+    ),
+    "verify": ([], ["--rel", "r.txt", "--json"], ["--max-degree", "x"], ["--relations", "r.txt", "--json"]),
 }
 
 
 def parse_cases():
     """Each distinct command line once."""
     cases = [[], ["-h"], ["--help"], ["nonsense"], ["cens", "100"], ["--bogus"], ["--help", "census"]]
-    for name, (positionals, flags, non_integer) in PARSE_TABLE.items():
+    for name, (positionals, flags, non_integer, exact) in PARSE_TABLE.items():
         line = [name, *positionals]
         cases += (
             [*line, *flags],  # valid
             [name, *flags, *positionals],  # valid, positionals last
+            [*line, *exact],  # valid, exact flags only
+            [name, *exact, *positionals],  # valid, exact flags, positionals last
+            [*line, *exact, *exact],  # valid, every flag repeated
             [*line, "--params=-1,2,3,4,5,6"],  # valid where --params is read
             [name, "-h"],
             [*line, *flags, "--help"],
             [name, "--bogus"],
             [*line, "--bogus"],
             [*line, "--bogus=1", *flags],
+            [*line, "--json=1", *exact],
             [name, *non_integer],
             [*line, "--algebra", "Z"],
             [name],  # a missing positional where the command takes one
             [*line, "extra"],
             [*line, *flags, "extra", "--bogus"],
             [*line, "--params", "-1,2,3,4,5,6"],
+            [*line, *exact, "--params"],
+            [*line, *exact, "--out=--"],  # argparse drops the "--"
             [*line, "--", "extra"],
         )
     return [list(argv) for argv in dict.fromkeys(map(tuple, cases))]
 
 
-@pytest.mark.parametrize("argv", parse_cases(), ids=lambda argv: " ".join(argv) or "(empty)")
-def test_main_parses_a_line_as_the_full_parser_does(argv, capsys, monkeypatch):
-    """Same exit code, stdout and stderr as the full parser, and the same namespace for a valid line."""
-    seen = []
+def record(args):
+    return args
 
-    def record(args):
-        seen.append(args)
-        return 0
 
-    for name in cli.COMMANDS:
-        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), record)
+@contextlib.contextmanager
+def commands_recorded():
+    """Every `cmd_*` returns the namespace it is given instead of running."""
+    with contextlib.ExitStack() as stack:
+        for name in cli.COMMANDS:
+            stack.enter_context(mock.patch.object(cli, "cmd_" + name.replace("-", "_"), record))
+        yield
 
-    def outcome(parse):
+
+def outcome(parse, argv):
+    """What `parse(argv)` returns, or ("exit", code) if it exits, with what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parse(argv)
+            result = parse(list(argv))
         except SystemExit as exc:
             result = ("exit", exc.code)
-        captured = capsys.readouterr()
-        return result, captured.out, captured.err
-
-    expected = outcome(build_parser().parse_args)
-    got = outcome(main)
-    if isinstance(expected[0], argparse.Namespace):
-        assert got == (0, "", "") and seen == [expected[0]]
-    else:
-        assert got == expected and not seen
+    return result, out.getvalue(), err.getvalue()
 
 
-def test_a_valid_command_line_builds_only_its_command_parser(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("the full parser was built")
+def assert_main_parses_as_the_full_parser(argv):
+    """Same exit code, stdout and stderr as the full parser, and the namespace it gives for a valid line."""
+    with commands_recorded():
+        expected = outcome(build_parser().parse_args, argv)
+        assert outcome(main, argv) == expected
+    return expected[0]
 
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    assert main(["census", "100"]) == 0
+
+@pytest.mark.parametrize("argv", parse_cases(), ids=lambda argv: " ".join(argv) or "(empty)")
+def test_main_parses_a_line_as_the_full_parser_does(argv):
+    assert_main_parses_as_the_full_parser(argv)
+
+
+#: Values each flag's parser takes as a separate token, and ones no flag's parser takes so.
+FLAG_VALUES = {
+    "--params": ["1,2,3,4,5,6", "1,2", ""],
+    "--theorem2": ["7", "2,3", ""],
+    "--max-degree": ["4", "0", " 5", "1_0"],
+    "--algebra": ["E", "AX"],
+    "--convention": ["graded", "ungraded"],
+    "--out": ["o.txt"],
+    "--json": [],
+    "--field": ["Q", "7", "x"],
+    "--rho": ["4,3", "4,"],
+    "--element": ["1*u1", "1*u1 + -1*u2"],
+    "--bound": ["50", "+5"],
+    "--relations": ["r.txt"],
+}
+BAD_VALUES = ["-1,2,3,4,5,6", "-3", "-1*u1", "-", "--", "=", "x", "Z", "4.5", "-h"]
+POSITIONALS = {"recurrence": "5", "classify": "41", "census": "100", "theorem2": "2,3"}
+TRICKY_TOKENS = ["-", "--", "=", "", "-h", "--help", "--bogus", "--bogus=1", "-x", "--json=x", "-7", "extra"]
+
+
+def flag_pieces(flags, values):
+    """`--flag value` and `--flag=value` for a flag drawn from `flags`, its value from `values(flag)`."""
+    def pieces(flag):
+        if flag == "--json":
+            return st.just([flag])
+        value = st.sampled_from(values(flag))
+        return st.one_of(value.map(lambda v: [flag, v]), value.map(lambda v: [f"{flag}={v}"]))
+
+    return st.sampled_from(sorted(flags)).flatmap(pieces)
+
+
+@st.composite
+def command_lines(draw):
+    """A command's valid flags and positional in any order, with up to two tricky pieces put in."""
+    command = draw(st.sampled_from(sorted(CLI_SURFACE)))
+    pieces = draw(st.lists(flag_pieces(CLI_SURFACE[command], FLAG_VALUES.get), max_size=4))
+    pieces = draw(st.permutations(pieces + ([[POSITIONALS[command]]] if command in POSITIONALS else [])))
+    tricky = st.one_of(
+        flag_pieces(FLAG_VALUES, lambda flag: FLAG_VALUES[flag] + BAD_VALUES),  # any flag, any value
+        st.sampled_from(sorted(FLAG_VALUES)).flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda k: [f[:k]])),
+        st.sampled_from([*TRICKY_TOKENS, *POSITIONALS.values()]).map(lambda token: [token]),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(tricky))
+    head = draw(st.sampled_from([command] * 4 + ["cens", ""]))
+    return [head, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_main_parses_any_drawn_line_as_the_full_parser_does(argv):
+    assert_main_parses_as_the_full_parser(argv)
+
+
+def not_built(*args, **kwargs):
+    raise AssertionError("an argparse parser was built")
+
+
+def test_a_valid_command_line_builds_no_parser(capsys):
+    with mock.patch.object(argparse, "ArgumentParser", not_built):
+        assert main(["census", "100"]) == 0
     assert capsys.readouterr().out.startswith("class   count  torsion")
+
+
+#: The command lines of the benchmark's `reach` and `fields` workloads, copied.
+BENCHMARK_LINES = [
+    ["torsion-primes", "--max-degree", "6"],
+    ["torsion-primes", "--algebra", "AX", "--max-degree", "4"],
+    *(["hilbert", "--algebra", algebra, "--field", p] for p in ("7", "11", "83") for algebra in ("E", "AX")),
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_LINES, ids=" ".join)
+def test_a_benchmark_line_is_read_without_a_parser(argv):
+    expected = assert_main_parses_as_the_full_parser(argv)
+    assert isinstance(expected, argparse.Namespace)
+    with commands_recorded(), mock.patch.object(argparse, "ArgumentParser", not_built):
+        assert main(argv) == expected
+
+
+def test_a_plain_command_line_loads_no_locale():
+    # the first ArgumentParser of a process imports `locale` through gettext
+    added = loaded_modules("import os; from looptorsion.cli import main; main(['census', '100', '--out', os.devnull])")
+    assert "looptorsion.numtheory" in added
+    assert "locale" not in added - loaded_modules("pass")
 
 
 def test_top_level_help_describes_the_tool_and_names_no_module(capsys):

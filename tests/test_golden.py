@@ -2,16 +2,19 @@
 
 Each case runs the CLI in process and compares its stdout with the file
 of the same name under tests/golden/; for a refused command, the file
-holds its stderr and the case also pins the exit code.  After an
+holds its stderr and the case also pins the exit code.  Every line is
+read without building an argparse parser.  After an
 intended change of a report, rewrite the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -81,16 +84,21 @@ REFUSALS = {
 }
 
 
+def no_parser(*args, **kwargs):
+    raise AssertionError("a golden line built an argparse parser")
+
+
 def run(argv) -> str:
+    """What the line prints; it must be read without building an argparse parser."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), mock.patch.object(argparse, "ArgumentParser", no_parser):
         assert main(list(argv)) == 0
     return out.getvalue()
 
 
 def run_refused(argv) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(argparse, "ArgumentParser", no_parser):
         code = main(list(argv))
     assert out.getvalue() == ""
     return code, err.getvalue()
