@@ -635,7 +635,7 @@ def test_main_parses_a_line_as_the_full_parser_does(argv):
     assert_main_parses_as_the_full_parser(argv)
 
 
-#: Values each flag's parser takes as a separate token, and ones no flag's parser takes so.
+#: Values each flag accepts as a separate token; each of `BAD_VALUES` is refused by some flag or starts with "-".
 FLAG_VALUES = {
     "--params": ["1,2,3,4,5,6", "1,2", ""],
     "--theorem2": ["7", "2,3", ""],
@@ -717,9 +717,9 @@ def test_a_benchmark_line_is_read_without_a_parser(argv):
 
 def test_a_plain_command_line_loads_no_locale():
     # the first ArgumentParser of a process imports `locale` through gettext
-    added = loaded_modules("import os; from looptorsion.cli import main; main(['census', '100', '--out', os.devnull])")
-    assert "looptorsion.numtheory" in added
-    assert "locale" not in added - loaded_modules("pass")
+    loaded = loaded_modules("import os; from looptorsion.cli import main; main(['census', '100', '--out', os.devnull])")
+    assert "looptorsion.numtheory" in loaded
+    assert "locale" not in loaded - loaded_modules("pass")
 
 
 def test_top_level_help_describes_the_tool_and_names_no_module(capsys):
